@@ -9,12 +9,23 @@ import (
 
 // TestProtectedAccessPathAllocFree is the regression gate for the
 // allocation-free hot path: a resident load and a resident store through
-// the full CPPC controller stack (verify, R1/R2 fold, parity re-encode,
-// dirty tracking) must not allocate. A single stray append or interface
-// boxing on this path shows up here long before it shows up in a
-// benchmark.
+// the full controller stack must not allocate, under CPPC (verify, R1/R2
+// fold, parity re-encode, dirty tracking) and under SECDED (Hamming
+// decode on verify, re-encode on store). A single stray append,
+// interface boxing or heap-escaping kernel accumulator on this path shows
+// up here long before it shows up in a benchmark.
 func TestProtectedAccessPathAllocFree(t *testing.T) {
-	ctrl, _ := newBenchController()
+	t.Run("cppc", func(t *testing.T) {
+		ctrl, _ := newBenchController()
+		checkResidentAccessAllocFree(t, ctrl)
+	})
+	t.Run("secded", func(t *testing.T) {
+		c := NewCache(L1DConfig())
+		checkResidentAccessAllocFree(t, NewController(c, NewSECDED(c, true), NewMemory(32, 200)))
+	})
+}
+
+func checkResidentAccessAllocFree(t *testing.T, ctrl *Controller) {
 	ctrl.Store(0x40, 1, 1) // make the block resident and dirty
 	now := uint64(2)
 

@@ -186,6 +186,20 @@ var entries = []struct {
 			}
 		}
 	}},
+	{"HammingDecode64", func(b *testing.B) {
+		b.ReportAllocs()
+		// The per-word code protect.SECDEDScheme runs at L1; SECDEDDecode
+		// above times the fixed-width reference, which no simulation calls.
+		h := parity.MustHamming(64)
+		data := []uint64{0xdeadbeefcafebabe}
+		check := h.Encode(data)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if res := h.Decode(data, check); res.Outcome != parity.SECDEDClean {
+				panic("decode broke")
+			}
+		}
+	}},
 	{"HammingDecode256", func(b *testing.B) {
 		b.ReportAllocs()
 		h := parity.MustHamming(256)

@@ -40,3 +40,29 @@ func FuzzHamming256Decode(f *testing.F) {
 		}
 	})
 }
+
+// FuzzHammingEncodeMatchesRef: at the L1 word width and the L2 block
+// width, the word-parallel Encode equals the bit-serial EncodeRef on any
+// data, and flipping any one data bit decodes to exactly that bit.
+func FuzzHammingEncodeMatchesRef(f *testing.F) {
+	codes := []*Hamming{MustHamming(64), MustHamming(256)}
+	f.Add(uint64(0), uint64(0), uint64(0), uint64(0), uint16(0))
+	f.Add(^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), uint16(255))
+	f.Add(uint64(0xdeadbeef), uint64(1), uint64(1<<63), uint64(0x5555), uint16(70))
+	f.Fuzz(func(t *testing.T, a, b, c, d uint64, bit uint16) {
+		for _, h := range codes {
+			data := []uint64{a, b, c, d}[:h.dataBits/64]
+			check := h.Encode(data)
+			if want := h.EncodeRef(data); check != want {
+				t.Fatalf("Hamming(%d).Encode(%#x) = %#x, EncodeRef = %#x", h.dataBits, data, check, want)
+			}
+			i := int(bit) % h.dataBits
+			flipped := append([]uint64(nil), data...)
+			flipped[i/64] ^= 1 << uint(i%64)
+			res := h.Decode(flipped, check)
+			if res.Outcome != SECDEDCorrectedData || res.DataBit != i {
+				t.Fatalf("Hamming(%d) flip of bit %d: outcome %v, DataBit %d", h.dataBits, i, res.Outcome, res.DataBit)
+			}
+		}
+	})
+}

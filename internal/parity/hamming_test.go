@@ -1,6 +1,7 @@
 package parity
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -101,13 +102,17 @@ func TestHammingDetectsDoubleErrors(t *testing.T) {
 }
 
 func TestHammingAgreesWithSECDED64OnOutcomes(t *testing.T) {
-	// The generic code at width 64 must classify exactly like the
-	// specialized (72,64) implementation for data-bit errors.
+	// The generic code at width 64 must store exactly the check bits of
+	// the fixed-width (72,64) reference and classify data-bit errors the
+	// same way.
 	h := MustHamming(64)
 	var s SECDED
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 200; trial++ {
 		w := rng.Uint64()
+		if g, want := h.Encode([]uint64{w}), s.Encode(w); g != want {
+			t.Fatalf("Encode(%#x) = %#x, SECDED.Encode = %#x", w, g, want)
+		}
 		nflips := 1 + rng.Intn(2)
 		mask := uint64(0)
 		for len(positions(mask)) < nflips {
@@ -117,6 +122,71 @@ func TestHammingAgreesWithSECDED64OnOutcomes(t *testing.T) {
 		gotS := s.Decode(w^mask, s.Encode(w))
 		if gotG.Outcome != gotS.Outcome {
 			t.Fatalf("mask %#x: generic %v, specialized %v", mask, gotG.Outcome, gotS.Outcome)
+		}
+	}
+}
+
+// hammingInputs returns the Encode/EncodeRef equivalence inputs for a
+// width: dense random buffers, all zeros, all ones and every single-bit
+// buffer.
+func hammingInputs(dataBits int, rng *rand.Rand) [][]uint64 {
+	words := dataBits / 64
+	var out [][]uint64
+	for trial := 0; trial < 64; trial++ {
+		data := make([]uint64, words)
+		for i := range data {
+			data[i] = rng.Uint64()
+		}
+		out = append(out, data)
+	}
+	ones := make([]uint64, words)
+	for i := range ones {
+		ones[i] = ^uint64(0)
+	}
+	out = append(out, make([]uint64, words), ones)
+	for bit := 0; bit < dataBits; bit++ {
+		data := make([]uint64, words)
+		data[bit/64] = 1 << uint(bit%64)
+		out = append(out, data)
+	}
+	return out
+}
+
+func TestHammingEncodeMatchesRef(t *testing.T) {
+	for _, dataBits := range []int{64, 128, 256, 512, 1024} {
+		h := MustHamming(dataBits)
+		rng := rand.New(rand.NewSource(int64(dataBits) + 24))
+		for _, data := range hammingInputs(dataBits, rng) {
+			if got, want := h.Encode(data), h.EncodeRef(data); got != want {
+				t.Fatalf("Hamming(%d).Encode(%#x) = %#x, EncodeRef = %#x", dataBits, data, got, want)
+			}
+		}
+	}
+}
+
+// hammingSink keeps benchmarked encodes from being optimized away.
+var hammingSink uint64
+
+// BenchmarkHammingEncode pairs the word-parallel Encode with the
+// bit-serial EncodeRef on the same dense buffer, at the L1 word width and
+// the L2 block width.
+func BenchmarkHammingEncode(b *testing.B) {
+	for _, dataBits := range []int{64, 256} {
+		h := MustHamming(dataBits)
+		rng := rand.New(rand.NewSource(25))
+		data := make([]uint64, dataBits/64)
+		for i := range data {
+			data[i] = rng.Uint64()
+		}
+		for _, k := range []struct {
+			name string
+			fn   func([]uint64) uint64
+		}{{"Encode", h.Encode}, {"EncodeRef", h.EncodeRef}} {
+			b.Run(fmt.Sprintf("%s/%d", k.name, dataBits), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					hammingSink ^= k.fn(data)
+				}
+			})
 		}
 	}
 }

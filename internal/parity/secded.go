@@ -11,6 +11,9 @@ import "math/bits"
 // The 12.5% storage overhead (8 check bits per 64-bit word) and the
 // multi-level XOR-tree decode latency of this code are exactly the costs
 // the paper's introduction holds against SECDED for L1 caches.
+//
+// Simulations run the same code as Hamming(64); this fixed-width type is
+// the reference that width is checked against, bit for bit.
 type SECDED struct{}
 
 const (

@@ -37,27 +37,29 @@ func (s *SECDEDScheme) BitlineFactor() float64 {
 }
 func (s *SECDEDScheme) FillNeedsOldLine() bool { return false }
 
-func (s *SECDEDScheme) granule(set, way, g int) []uint64 {
-	gw := s.C.Cfg.DirtyGranuleWords
-	return s.C.Line(set, way).Data[g*gw : (g+1)*gw]
+// granule returns the data words of granule g of ln and the index of the
+// Check slot that holds their code.
+func (s *SECDEDScheme) granule(ln *cache.Line, g int) (data []uint64, slot int) {
+	gw := s.C.GranuleWords()
+	return ln.Data[g*gw : (g+1)*gw], g * gw
 }
 
-func (s *SECDEDScheme) encode(set, way, g int) {
-	gw := s.C.Cfg.DirtyGranuleWords
-	s.C.Line(set, way).Check[g*gw] = s.code.Encode(s.granule(set, way, g))
+func (s *SECDEDScheme) encode(ln *cache.Line, g int) {
+	data, slot := s.granule(ln, g)
+	ln.Check[slot] = s.code.Encode(data)
 }
 
 func (s *SECDEDScheme) OnFill(set, way int) {
+	ln := s.C.Line(set, way)
 	for g := 0; g < s.C.Granules(); g++ {
-		s.encode(set, way, g)
+		s.encode(ln, g)
 	}
 }
 
 func (s *SECDEDScheme) VerifyGranule(set, way, g int, _ uint64) (FaultStatus, bool) {
-	gw := s.C.Cfg.DirtyGranuleWords
 	ln := s.C.Line(set, way)
-	data := s.granule(set, way, g)
-	res := s.code.Decode(data, ln.Check[g*gw])
+	data, slot := s.granule(ln, g)
+	res := s.code.Decode(data, ln.Check[slot])
 	switch res.Outcome {
 	case parity.SECDEDClean:
 		return FaultNone, false
@@ -68,7 +70,7 @@ func (s *SECDEDScheme) VerifyGranule(set, way, g int, _ uint64) (FaultStatus, bo
 		}
 		return FaultCorrectedClean, false
 	case parity.SECDEDCorrectedCheck:
-		s.encode(set, way, g)
+		ln.Check[slot] = s.code.Encode(data)
 		if ln.Dirty[g] {
 			return FaultCorrectedDirty, false
 		}
@@ -84,9 +86,8 @@ func (s *SECDEDScheme) VerifyGranule(set, way, g int, _ uint64) (FaultStatus, bo
 func (s *SECDEDScheme) StoreNeedsOldData(int, int, int) bool { return false }
 
 func (s *SECDEDScheme) OnStore(set, way, g int, _ []uint64, _, _ bool, now uint64) {
-	gw := s.C.Cfg.DirtyGranuleWords
-	s.C.MarkDirty(set, way, g*gw, now)
-	s.encode(set, way, g)
+	s.C.MarkDirty(set, way, g*s.C.GranuleWords(), now)
+	s.encode(s.C.Line(set, way), g)
 }
 
 func (s *SECDEDScheme) OnEvict(set, way int, _ uint64) {
@@ -98,7 +99,7 @@ func (s *SECDEDScheme) OnEvict(set, way int, _ uint64) {
 
 // OnRefetchGranule re-encodes the code for the refreshed granule.
 func (s *SECDEDScheme) OnRefetchGranule(set, way, g int, _ []uint64) {
-	s.encode(set, way, g)
+	s.encode(s.C.Line(set, way), g)
 }
 
 // OnDowngrade marks the line clean.
