@@ -212,6 +212,25 @@ var entries = []struct {
 			}
 		}
 	}},
+	{"GoldenMemoryBlock", func(b *testing.B) {
+		b.ReportAllocs()
+		// One 32-byte block fetch plus its write-back on the golden
+		// memory, striding over a fault campaign's 8KB footprint with
+		// every page resident: the paged table's per-block cost.
+		const blocks = 8 << 10 / 32
+		m := cache.NewMemory(32, 100)
+		blk := make([]uint64, 4)
+		for i := 0; i < blocks; i++ {
+			m.WriteBackBlock(uint64(i*32), blk, 0)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			a := uint64(i*37%blocks) * 32
+			m.FetchBlock(a, blk, 0)
+			blk[0]++
+			m.WriteBackBlock(a, blk, 0)
+		}
+	}},
 	{"CellStoreDiskPut", func(b *testing.B) {
 		b.ReportAllocs()
 		d, dir := benchDisk()

@@ -1,7 +1,5 @@
 package cache
 
-import "sync"
-
 // Backing is the next level below a cache controller: either main memory
 // or another (protected) cache level.
 type Backing interface {
@@ -12,11 +10,11 @@ type Backing interface {
 	WriteBackBlock(addr uint64, src []uint64, now uint64)
 }
 
-// Memory is the golden backing store: a sparse word-addressed map that is
-// never subject to faults. It doubles as the reference copy that fault
-// campaigns compare recovered data against.
+// Memory is the golden backing store: a sparse word-indexed PageTable
+// that is never subject to faults. It doubles as the reference copy that
+// fault campaigns compare recovered data against.
 type Memory struct {
-	words        map[uint64]uint64
+	words        PageTable[uint64] // indexed by word (address >> 3)
 	blockBytes   int
 	LatencyCycle int // Fetch latency (e.g. ~200 cycles at 3GHz DRAM)
 
@@ -24,62 +22,38 @@ type Memory struct {
 	WriteBacks uint64
 }
 
-// memWordsPool recycles the sparse word map across Memory lifetimes:
-// clear() keeps a map's buckets, so a released memory re-serves a
-// same-footprint simulation without re-growing (write-back bucket growth
-// otherwise shows up in every short cell's allocation profile).
-var memWordsPool = sync.Pool{New: func() any { return make(map[uint64]uint64, 1024) }}
-
 // NewMemory creates a memory serving blocks of the given size.
 func NewMemory(blockBytes, latency int) *Memory {
-	return &Memory{
-		words:        memWordsPool.Get().(map[uint64]uint64),
-		blockBytes:   blockBytes,
-		LatencyCycle: latency,
-	}
+	return &Memory{blockBytes: blockBytes, LatencyCycle: latency}
 }
 
 // Reset returns the memory to its freshly-constructed state in place,
-// keeping the word map's buckets: the trial executor's per-worker
-// arenas reuse one Memory across trials instead of cycling it through
-// the pool, so a same-footprint trial never re-grows the map.
+// keeping its pages: the trial executor's per-worker arenas reuse one
+// Memory across trials, so a same-footprint trial allocates nothing.
 func (m *Memory) Reset() {
-	clear(m.words)
+	m.words.Reset()
 	m.Fetches, m.WriteBacks = 0, 0
 }
 
-// Release returns the memory's word map to the construction pool. The
-// memory must not be used afterwards.
-func (m *Memory) Release() {
-	if m.words == nil {
-		return
-	}
-	clear(m.words)
-	memWordsPool.Put(m.words)
-	m.words = nil
-}
+// Release hands the memory's pages on to the next Memory to be written
+// (see PageTable.Release). The memory must not be used afterwards.
+func (m *Memory) Release() { m.words.Release() }
 
 // ReadWord returns the golden value at a word-aligned address.
-func (m *Memory) ReadWord(addr uint64) uint64 { return m.words[addr&^7] }
+func (m *Memory) ReadWord(addr uint64) uint64 { return m.words.Get(addr >> 3) }
 
 // WriteWord stores a golden value at a word-aligned address.
-func (m *Memory) WriteWord(addr uint64, v uint64) { m.words[addr&^7] = v }
+func (m *Memory) WriteWord(addr uint64, v uint64) { m.words.Set(addr>>3, v) }
 
 // FetchBlock implements Backing.
 func (m *Memory) FetchBlock(addr uint64, dst []uint64, _ uint64) int {
 	m.Fetches++
-	base := addr &^ uint64(m.blockBytes-1)
-	for i := range dst {
-		dst[i] = m.words[base+uint64(i*8)]
-	}
+	m.words.Read((addr&^uint64(m.blockBytes-1))>>3, dst)
 	return m.LatencyCycle
 }
 
 // WriteBackBlock implements Backing.
 func (m *Memory) WriteBackBlock(addr uint64, src []uint64, _ uint64) {
 	m.WriteBacks++
-	base := addr &^ uint64(m.blockBytes-1)
-	for i, w := range src {
-		m.words[base+uint64(i*8)] = w
-	}
+	m.words.Write((addr&^uint64(m.blockBytes-1))>>3, src)
 }

@@ -23,7 +23,6 @@ package coherence
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"cppc/internal/cache"
 	"cppc/internal/protect"
@@ -41,13 +40,15 @@ type Stats struct {
 
 // dirEntry tracks one block's global state. Sharers are a bitmask (one
 // bit per core, so the system is capped at 64 cores) and entries are
-// stored by value: looking up or creating a block's state costs zero
-// allocations, where a pointer-and-inner-map representation paid two per
-// block plus bucket growth on every new sharer — the dominant allocation
-// cost of a multicore cell.
+// stored by value in a paged table indexed by block number: looking up
+// or creating a block's state costs zero allocations and no hashing on
+// the per-access path.
 type dirEntry struct {
 	sharers uint64 // bitmask of cores holding a valid copy
 	owner   int16  // core holding the block Modified, or -1
+	// seen marks a block some access has touched; the table reads an
+	// untouched block as the zero entry, which lookup reports absent.
+	seen bool
 }
 
 // Multiprocessor is N cores with private L1s over one shared L2.
@@ -61,48 +62,12 @@ type Multiprocessor struct {
 	// behaviour the functional tests rely on.
 	Timing Timing
 
-	dir     map[uint64]dirEntry
+	dir     cache.PageTable[dirEntry] // indexed by block number
 	Stats   Stats
 	busFree uint64 // first cycle the bus/directory is free again (FCFS)
 
-	blockBytes uint64
-	blockShift uint // log2(blockBytes)
-
-	// Direct-mapped directory memo in front of the map: recently touched
-	// blocks — sequential runs through a 32-byte block, hot-window and
-	// rehit revisits — resolve with one index and compare instead of a
-	// map hash. The memo is write-back: a resident slot is the
-	// authoritative state for its block (the map may lag behind) and is
-	// spilled to the map only when a conflicting block claims the slot,
-	// so the per-access hot path never touches the hash map at all.
-	// Every reader outside the hot path goes through lookup, which
-	// checks the memo before the map.
-	memo [dirMemoSize]dirMemoSlot
+	blockShift uint // log2 of the L1 block size
 }
-
-// dirMemoSize is the direct-mapped memo's slot count (power of two).
-const dirMemoSize = 4096
-
-// memoIdx hashes a block address to its memo slot. The low block-index
-// bits alone would alias a block's shared copy with every core's private
-// copy: per-core regions sit at 1MB strides (multiples of 32768 blocks,
-// ≡ 0 mod dirMemoSize), so XOR-folding the region bits back in is what
-// keeps the copies in distinct slots.
-func (m *Multiprocessor) memoIdx(b uint64) uint64 {
-	x := b >> m.blockShift
-	return (x ^ x>>12) & (dirMemoSize - 1)
-}
-
-type dirMemoSlot struct {
-	b     uint64
-	e     dirEntry
-	valid bool
-}
-
-// dirPool recycles directory maps across Multiprocessor lifetimes:
-// clear() keeps a map's buckets, so a released directory re-serves a
-// same-footprint run without re-growing.
-var dirPool = sync.Pool{New: func() any { return make(map[uint64]dirEntry, 1024) }}
 
 // SchemeFactory builds a protection scheme for one cache.
 type SchemeFactory func(c *cache.Cache) protect.Scheme
@@ -118,8 +83,6 @@ func New(n int, l1cfg, l2cfg cache.Config, mkL1, mkL2 SchemeFactory, memLatency 
 	l2 := protect.NewController(l2c, mkL2(l2c), mem)
 	m := &Multiprocessor{
 		L2: l2, Mem: mem,
-		dir:        dirPool.Get().(map[uint64]dirEntry),
-		blockBytes: uint64(l1cfg.BlockBytes),
 		blockShift: uint(bits.TrailingZeros64(uint64(l1cfg.BlockBytes))),
 	}
 	for i := 0; i < n; i++ {
@@ -129,60 +92,40 @@ func New(n int, l1cfg, l2cfg cache.Config, mkL1, mkL2 SchemeFactory, memLatency 
 	return m
 }
 
-func (m *Multiprocessor) block(addr uint64) uint64 { return addr &^ (m.blockBytes - 1) }
-
-// Release returns the system's cache arrays and directory map to their
-// construction pools for reuse by a future New of the same shape. The
-// Multiprocessor — including its controllers, caches and ports — must not
-// be used afterwards.
+// Release returns the system's cache arrays, memory pages and directory
+// pages to their construction pools for reuse by a future New of the
+// same shape. The Multiprocessor — including its controllers, caches and
+// ports — must not be used afterwards.
 func (m *Multiprocessor) Release() {
 	for _, l1 := range m.L1s {
 		l1.C.Release()
 	}
 	m.L2.C.Release()
 	m.Mem.Release()
-	if m.dir != nil {
-		clear(m.dir)
-		dirPool.Put(m.dir)
-		m.dir = nil
-	}
+	m.dir.Release()
 }
 
-// entry loads a block's directory state (a zero-allocation value copy;
-// the caller writes the mutated entry back with commit).
-func (m *Multiprocessor) entry(addr uint64) (uint64, dirEntry) {
-	b := m.block(addr)
-	if s := &m.memo[m.memoIdx(b)]; s.valid && s.b == b {
-		return b, s.e
+// entry returns the directory state of the block holding addr, creating
+// it (no sharers, no owner) on first touch. The access mutates the entry
+// in place: nothing between this lookup and the access's end touches the
+// directory, and pages never move.
+func (m *Multiprocessor) entry(addr uint64) *dirEntry {
+	e := m.dir.Ref(addr >> m.blockShift)
+	if !e.seen {
+		*e = dirEntry{owner: -1, seen: true}
 	}
-	e, ok := m.dir[b]
-	if !ok {
-		e = dirEntry{owner: -1}
-	}
-	return b, e
+	return e
 }
 
-// commit publishes a block's (possibly mutated) directory state into
-// its memo slot, spilling a displaced block's state to the map.
-func (m *Multiprocessor) commit(b uint64, e dirEntry) {
-	s := &m.memo[m.memoIdx(b)]
-	if s.valid && s.b != b {
-		m.dir[s.b] = s.e
-	}
-	s.b, s.e, s.valid = b, e, true
+// lookup returns the directory state of the block holding addr, and
+// false for a block no access has touched (the checker and peek paths,
+// which must not create entries).
+func (m *Multiprocessor) lookup(addr uint64) (dirEntry, bool) {
+	e := m.dir.Get(addr >> m.blockShift)
+	return e, e.seen
 }
 
-// lookup returns block b's directory state, memo-first (the checker and
-// peek paths, which must see the authoritative write-back state).
-func (m *Multiprocessor) lookup(b uint64) (dirEntry, bool) {
-	if s := &m.memo[m.memoIdx(b)]; s.valid && s.b == b {
-		return s.e, true
-	}
-	e, ok := m.dir[b]
-	return e, ok
-}
-
-// noteEvictions reconciles the directory with silent L1 replacements: a
+// reconcile brings the directory in line with silent L1 replacements: a
 // core's copy may have been evicted by capacity pressure without a
 // protocol event. Cheap probe-based lazy cleanup over the sharer bits.
 func (m *Multiprocessor) reconcile(e *dirEntry, addr uint64) {
@@ -216,7 +159,7 @@ func (m *Multiprocessor) Write(core int, addr, val, now uint64) protect.AccessRe
 // returned Latency includes bus-wait, bus-transaction, and owner-flush
 // cycles on top of the local hierarchy's latency.
 func (m *Multiprocessor) ReadInto(core int, addr, now uint64, res *protect.AccessResult) {
-	b, e := m.entry(addr)
+	e := m.entry(addr)
 	// Pure local hit: the requester is already a sharer and its copy is
 	// still resident, so no protocol event can fire and the entry cannot
 	// change (reconcile only clears bits for silently evicted copies,
@@ -228,7 +171,7 @@ func (m *Multiprocessor) ReadInto(core int, addr, now uint64, res *protect.Acces
 			return
 		}
 	}
-	m.reconcile(&e, addr)
+	m.reconcile(e, addr)
 	extra := 0
 	if e.sharers&(1<<core) == 0 {
 		m.Stats.BusReads++
@@ -245,14 +188,13 @@ func (m *Multiprocessor) ReadInto(core int, addr, now uint64, res *protect.Acces
 	m.L1s[core].LoadInto(addr, now+uint64(extra), res)
 	res.Latency += extra
 	e.sharers |= 1 << core
-	m.commit(b, e)
 }
 
 // WriteInto performs a store by `core` at addr. With a non-zero Timing
 // the returned Latency includes bus-wait, bus-transaction, invalidation,
 // and owner-writeback cycles on top of the local hierarchy's latency.
 func (m *Multiprocessor) WriteInto(core int, addr, val, now uint64, res *protect.AccessResult) {
-	b, e := m.entry(addr)
+	e := m.entry(addr)
 	// Pure local hit: the requester already owns the block Modified and
 	// its copy is resident. Ownership implies it was the only sharer, so
 	// no invalidation, bus transaction or entry mutation can occur.
@@ -262,7 +204,7 @@ func (m *Multiprocessor) WriteInto(core int, addr, val, now uint64, res *protect
 			return
 		}
 	}
-	m.reconcile(&e, addr)
+	m.reconcile(e, addr)
 	extra := 0
 	if int(e.owner) != core {
 		m.Stats.BusReadX++
@@ -285,7 +227,6 @@ func (m *Multiprocessor) WriteInto(core int, addr, val, now uint64, res *protect
 	m.L1s[core].StoreInto(addr, val, now+uint64(extra), res)
 	res.Latency += extra
 	e.sharers |= 1 << core
-	m.commit(b, e)
 }
 
 // CheckCoherent verifies the single-writer/multi-reader invariant: at

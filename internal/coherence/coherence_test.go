@@ -203,3 +203,31 @@ func TestCoherentDetectsViolations(t *testing.T) {
 		t.Fatal("double-Modified block not detected")
 	}
 }
+
+// TestDirectoryLookupAbsent: the checker's lookup reports a block no
+// access touched as absent, including the untouched neighbours that
+// share a directory page with a touched block, and a released system's
+// directory pages come back to the next system empty.
+func TestDirectoryLookupAbsent(t *testing.T) {
+	m := newMP(2)
+	if _, ok := m.lookup(0x1000); ok {
+		t.Fatal("fresh directory reports block 0x1000 present")
+	}
+	m.Write(1, 0x1000, 7, 1)
+	if e, ok := m.lookup(0x1008); !ok || e.owner != 1 || e.sharers != 1<<1 {
+		t.Fatalf("after core 1's write: lookup = %+v, %v", e, ok)
+	}
+	if e, ok := m.lookup(0x1020); ok {
+		t.Fatalf("untouched neighbour block 0x1020 reported present: %+v", e)
+	}
+	m.Read(0, 0x1000, 2)
+	if e, ok := m.lookup(0x1000); !ok || e.owner != -1 || e.sharers != 1<<0|1<<1 {
+		t.Fatalf("after core 0's read: lookup = %+v, %v", e, ok)
+	}
+	m.Release()
+	m = newMP(2)
+	m.Write(0, 0x1040, 1, 1) // adopts a recycled page for 0x1000's range
+	if e, ok := m.lookup(0x1000); ok {
+		t.Fatalf("a recycled directory page kept block 0x1000: %+v", e)
+	}
+}

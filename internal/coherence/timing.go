@@ -107,7 +107,7 @@ func (m *Multiprocessor) ResetStats() {
 // perturbing any cache state: the owner's dirty copy wins, then any clean
 // L1 copy, then the L2, then memory. Checker use only.
 func (m *Multiprocessor) PeekWord(addr uint64) uint64 {
-	if e, ok := m.lookup(m.block(addr)); ok && e.owner >= 0 {
+	if e, ok := m.lookup(addr); ok && e.owner >= 0 {
 		if v, ok := m.L1s[e.owner].C.PeekWord(addr); ok {
 			return v
 		}

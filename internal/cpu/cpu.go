@@ -213,13 +213,13 @@ func NewCore(cfg Config, d *protect.Controller) *Core {
 	return NewCoreWithPort(cfg, ControllerPort{Ctrl: d})
 }
 
-// doneRingMin is the floor for the dependency-tracking ring. Producer
-// distances are bounded well below it: trace generation draws Dep1 ≤
-// DepDistance and Dep2 ≤ 2·DepDistance, and the largest profile
-// DepDistance is 16, so no dependency reaches past 33 instructions. 128
+// doneRingMin is the floor for the dependency-tracking ring: every
+// producer distance a trace can carry (trace.MaxDepDistance, which
+// ParseTrace enforces and generated streams stay far below) reads its
+// own producer's completion time, never a later instruction's. 128
 // entries (1KB) keep the ring resident in the host L1 cache, where the
 // previous 4096-entry ring (32KB per core) thrashed it.
-const doneRingMin = 128
+const doneRingMin = trace.MaxDepDistance
 
 // doneRingLen sizes the done ring: a power of two strictly larger than
 // RUUSize, so the RUU occupancy check can read instruction i-RUUSize's

@@ -51,7 +51,7 @@ type Campaign struct {
 	Ct     *protect.Controller
 	Mem    *cache.Memory
 	rng    *lfrng.Rand
-	shadow map[uint64]uint64 // golden values of every word the program wrote
+	shadow goldenCopy // golden values of every word the program wrote
 	now    uint64
 
 	probeAddrs []uint64 // Probe's sweep scratch, reused across trials
@@ -69,10 +69,10 @@ func New(ct *protect.Controller, mem *cache.Memory, seed int64) *Campaign {
 
 // Reset re-points a reusable campaign shell at a fresh controller: the
 // rng is reseeded in place (its ~5KB state is the single biggest
-// per-trial allocation), the shadow map is cleared rather than
-// reallocated, and the probe scratch keeps its capacity. A reset shell
-// behaves bit-identically to a freshly New'd campaign — the trial
-// executor's per-worker arenas rely on this.
+// per-trial allocation), the shadow is emptied but keeps its pages, and
+// the probe scratch keeps its capacity. A reset shell behaves
+// bit-identically to a freshly New'd campaign — the trial executor's
+// per-worker arenas rely on this.
 func (c *Campaign) Reset(ct *protect.Controller, mem *cache.Memory, seed int64) {
 	c.Ct, c.Mem = ct, mem
 	if c.rng == nil {
@@ -80,11 +80,7 @@ func (c *Campaign) Reset(ct *protect.Controller, mem *cache.Memory, seed int64) 
 	} else {
 		c.rng.Seed(seed)
 	}
-	if c.shadow == nil {
-		c.shadow = make(map[uint64]uint64)
-	} else {
-		clear(c.shadow)
-	}
+	c.shadow.reset()
 	c.now = 0
 }
 
@@ -96,7 +92,7 @@ func (c *Campaign) Populate(n int, footprintBytes int) {
 		addr := uint64(c.rng.Intn(footprintBytes/8)) * 8
 		if c.rng.Intn(2) == 0 {
 			v := c.rng.Uint64()
-			c.shadow[addr] = v
+			c.shadow.store(addr, v)
 			c.Ct.Store(addr, v, c.now)
 		} else {
 			c.Ct.Load(addr, c.now)
@@ -104,20 +100,45 @@ func (c *Campaign) Populate(n int, footprintBytes int) {
 	}
 }
 
-// Store writes through the campaign, keeping the shadow in sync.
+// Store writes a word-aligned address through the campaign, keeping the
+// shadow in sync.
 func (c *Campaign) Store(addr, v uint64) {
 	c.now++
-	c.shadow[addr] = v
+	c.shadow.store(addr, v)
 	c.Ct.Store(addr, v, c.now)
 }
 
 // expected is the golden value of a word.
 func (c *Campaign) expected(addr uint64) uint64 {
-	if v, ok := c.shadow[addr]; ok {
+	if v, ok := c.shadow.load(addr); ok {
 		return v
 	}
 	return c.Mem.ReadWord(addr)
 }
+
+// goldenCopy is a trial's reference copy: the value of every word the
+// program wrote, indexed by word-aligned address. An entry carries a
+// written flag because the table reads absent words as the zero
+// goldenWord, and a written zero must stay distinguishable from a word
+// the program never wrote.
+type goldenCopy struct{ words cache.PageTable[goldenWord] }
+
+type goldenWord struct {
+	v       uint64
+	written bool
+}
+
+func (g *goldenCopy) store(addr, v uint64) { g.words.Set(addr>>3, goldenWord{v, true}) }
+
+// load returns the golden value at addr, and false if it was never
+// written.
+func (g *goldenCopy) load(addr uint64) (uint64, bool) {
+	w := g.words.Get(addr >> 3)
+	return w.v, w.written
+}
+
+// reset forgets every word, keeping the pages for the next trial.
+func (g *goldenCopy) reset() { g.words.Reset() }
 
 // InjectWord flips mask bits in the stored copy of addr, if resident.
 // Reports whether anything was flipped.

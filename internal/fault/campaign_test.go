@@ -150,6 +150,28 @@ func TestAliasingSDCReproduced(t *testing.T) {
 	}
 }
 
+// TestGoldenCopyWrittenFlag: a stored zero is a golden value, a word
+// never written is not (expected falls back to memory for it), and
+// reset forgets both.
+func TestGoldenCopyWrittenFlag(t *testing.T) {
+	var g goldenCopy
+	g.store(0x40, 0)
+	g.store(0x48, 5)
+	if v, ok := g.load(0x40); !ok || v != 0 {
+		t.Fatalf("stored zero loads as %#x, %v", v, ok)
+	}
+	if v, ok := g.load(0x48); !ok || v != 5 {
+		t.Fatalf("stored 5 loads as %#x, %v", v, ok)
+	}
+	if v, ok := g.load(0x50); ok {
+		t.Fatalf("unwritten word loads as %#x, present", v)
+	}
+	g.reset()
+	if _, ok := g.load(0x40); ok {
+		t.Fatal("reset kept a stored zero")
+	}
+}
+
 func TestCoverageMatrixShape(t *testing.T) {
 	m := CoverageMatrix(cppcFactory(core.Config{ParityDegree: 8, RegisterPairs: 2, ByteShifting: true}), 3, 4, 31)
 	if len(m) != 3 || len(m[0]) != 3 {

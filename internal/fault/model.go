@@ -252,7 +252,7 @@ func (c *Campaign) Exercise(m Model, faults, n, footprintBytes int) (Outcome, bo
 		addr := uint64(c.rng.Intn(words)) * 8
 		if c.rng.Intn(2) == 0 {
 			v := c.rng.Uint64()
-			c.shadow[addr] = v
+			c.shadow.store(addr, v)
 			c.Ct.Store(addr, v, c.now)
 		} else {
 			res := c.Ct.Load(addr, c.now)

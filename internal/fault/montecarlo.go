@@ -104,7 +104,7 @@ func MonteCarloMTTFCtx(ctx context.Context, mk SchemeFactory, lambda float64, tr
 }
 
 // mcTrial runs one accelerated-rate lifetime on the arena: the rng is
-// reseeded in place and the golden map cleared rather than reallocated,
+// reseeded in place and the golden copy emptied rather than reallocated,
 // while the cache and controller are built fresh (from the pooled
 // construction arrays) exactly as the sequential code built them.
 func (a *Arena) mcTrial(ctx context.Context, mk SchemeFactory, lambda float64, maxAccesses int, seed int64) (mcTrial, error) {
@@ -120,12 +120,8 @@ func (a *Arena) mcTrial(ctx context.Context, mk SchemeFactory, lambda float64, m
 	}
 	ct := protect.NewController(c, mk(c), a.mem)
 	ct.SetSampleInterval(64)
-	if a.golden == nil {
-		a.golden = make(map[uint64]uint64)
-	} else {
-		clear(a.golden)
-	}
-	golden := a.golden
+	golden := &a.golden
+	golden.reset()
 
 	totalBits := float64(ccfg.TotalBits())
 	pFault := lambda * totalBits // expected faults per access (kept << 1)
@@ -155,11 +151,11 @@ func (a *Arena) mcTrial(ctx context.Context, mk SchemeFactory, lambda float64, m
 		addr := uint64(rng.Intn(8192/8)) * 8
 		if rng.Intn(2) == 0 {
 			v := rng.Uint64()
-			golden[addr] = v
+			golden.store(addr, v)
 			ct.Store(addr, v, now)
 		} else {
 			r := ct.Load(addr, now)
-			if want, ok := golden[addr]; ok && r.Value != want && !ct.Halted {
+			if want, ok := golden.load(addr); ok && r.Value != want && !ct.Halted {
 				t.sdc = true
 				t.life = i
 				failed = true

@@ -39,7 +39,7 @@ import (
 )
 
 // Arena is one worker's reusable simulator: the campaign shell (rng,
-// shadow map, probe scratch), the golden backing memory, and the
+// shadow, probe scratch), the golden backing memory, and the
 // Monte-Carlo trial state. Each trial still constructs its cache and
 // controller fresh — cache.New recycles backing arrays through the
 // Release() pool, so construction is cheap and the state-carrying parts
@@ -49,13 +49,13 @@ import (
 type Arena struct {
 	camp   Campaign
 	mem    *cache.Memory
-	rng    lfrng.Rand        // Monte-Carlo trial stream (reseeded per trial)
-	golden map[uint64]uint64 // Monte-Carlo golden values (cleared per trial)
+	rng    lfrng.Rand // Monte-Carlo trial stream (reseeded per trial)
+	golden goldenCopy // Monte-Carlo golden values (emptied per trial)
 }
 
 // arenaPool recycles arenas across campaigns, so repeated short cells
-// (the fieldmc grid runs 144 of them) reuse the same maps and rng state
-// blocks instead of growing fresh ones per cell.
+// (the fieldmc grid runs 144 of them) reuse the same table pages and rng
+// state blocks instead of growing fresh ones per cell.
 var arenaPool = sync.Pool{New: func() any { return new(Arena) }}
 
 // newCampaign builds one trial's protected cache on the arena and

@@ -37,7 +37,8 @@ var (
 //	A | M | F | X [dep1 dep2]  int ALU | int mul | FP ALU | FP mul
 //	# ...                      comment
 //
-// Dependencies are optional producer distances (0 = none).
+// Dependencies are optional producer distances (0 = none, at most
+// MaxDepDistance).
 
 // WriteTrace serializes n instructions from src.
 func WriteTrace(w io.Writer, src Source, n int) error {
@@ -84,6 +85,9 @@ func parseDeps(fields []string, lineNo int, in *Instr) error {
 	d2, err2 := strconv.Atoi(fields[1])
 	if err1 != nil || err2 != nil || d1 < 0 || d2 < 0 {
 		return fmt.Errorf("trace line %d: bad dependencies %v", lineNo, fields)
+	}
+	if d1 > MaxDepDistance || d2 > MaxDepDistance {
+		return fmt.Errorf("trace line %d: dependencies %v reach past %d instructions", lineNo, fields, MaxDepDistance)
 	}
 	in.Dep1, in.Dep2 = int32(d1), int32(d2)
 	return nil

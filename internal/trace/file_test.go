@@ -84,10 +84,28 @@ func TestParseTraceErrors(t *testing.T) {
 		"Q 0x1000",         // unknown op
 		"S 0x1000 -1 2",    // negative dep
 		"L 0x1000 1 bogus", // bad dep
+		// Distances past MaxDepDistance: one that int32 would wrap to 1,
+		// one it would wrap negative, and one the core's done ring would
+		// alias onto a later instruction.
+		"L 0x1000 4294967297 0",
+		"L 0x1000 2147483648 0",
+		"A 0 129",
 	}
 	for _, src := range bad {
 		if _, err := ParseTrace(strings.NewReader(src)); err == nil {
 			t.Errorf("trace %q accepted", src)
 		}
+	}
+	// The bound itself is a legal distance.
+	fs, err := ParseTrace(strings.NewReader("L 0x1000 128 128"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in := fs.Next(); in.Dep1 != MaxDepDistance || in.Dep2 != MaxDepDistance {
+		t.Fatalf("boundary distances parsed as %+v", in)
+	}
+	// The error names the offending line.
+	if _, err := ParseTrace(strings.NewReader("A\nL 0x1000 200 0")); err == nil || !strings.Contains(err.Error(), "line 2") {
+		t.Errorf("over-long dependency error = %v, want one naming line 2", err)
 	}
 }

@@ -43,15 +43,22 @@ func (o Op) String() string {
 }
 
 // Instr is one dynamic instruction. Dep1/Dep2 are producer distances (how
-// many instructions back), 0 meaning no register dependency. The struct is
-// kept at 16 bytes plus the address — it is copied twice per simulated
-// instruction through the batching buffers.
+// many instructions back, at most MaxDepDistance), 0 meaning no register
+// dependency. The struct is kept at 16 bytes plus the address — it is
+// copied twice per simulated instruction through the batching buffers.
 type Instr struct {
 	Addr       uint64 // word-aligned effective address (loads/stores)
 	Dep1, Dep2 int32
 	Op         Op
 	Mispredict bool // branches only: this branch flushes the front end
 }
+
+// MaxDepDistance bounds every producer distance an Instr may carry. The
+// OoO core keeps completion times in a ring of at least this many
+// entries, so a farther producer would read a later instruction's slot;
+// ParseTrace rejects such distances, and every profile's generated
+// distances (up to 2·DepDistance) stay within it.
+const MaxDepDistance = 128
 
 // Profile describes one synthetic benchmark.
 type Profile struct {

@@ -21,6 +21,10 @@ func TestProfilesComplete(t *testing.T) {
 		if p.WorkingSetBytes < p.HotBytes || p.HotBytes <= 0 {
 			t.Errorf("%s: bad working-set geometry", p.Name)
 		}
+		// Generated Dep2 reaches 2·DepDistance back.
+		if 2*p.DepDistance > MaxDepDistance {
+			t.Errorf("%s: DepDistance %d generates distances past MaxDepDistance %d", p.Name, p.DepDistance, MaxDepDistance)
+		}
 	}
 	for _, name := range []string{"gzip", "mcf", "swim", "applu"} {
 		if !seen[name] {
@@ -35,6 +39,28 @@ func TestProfileByName(t *testing.T) {
 	}
 	if _, ok := ProfileByName("nonesuch"); ok {
 		t.Error("unknown name found")
+	}
+}
+
+// TestProfileByNameAllocFree: the daemon looks a profile up on every
+// submit and every simulate cell, so the lookup must not copy the table.
+func TestProfileByNameAllocFree(t *testing.T) {
+	if avg := testing.AllocsPerRun(100, func() {
+		if _, ok := ProfileByName("applu"); !ok {
+			t.Fatal("applu missing")
+		}
+	}); avg != 0 {
+		t.Errorf("ProfileByName allocates %.1f objects per call, want 0", avg)
+	}
+}
+
+// TestProfilesReturnsCopy: callers may modify what Profiles returns
+// without changing the built-in table.
+func TestProfilesReturnsCopy(t *testing.T) {
+	ps := Profiles()
+	ps[0].DepDistance = -1
+	if p, _ := ProfileByName(ps[0].Name); p.DepDistance == -1 {
+		t.Fatal("Profiles shares its backing array with the built-in table")
 	}
 }
 
