@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"cppc/internal/experiments"
 	"cppc/internal/fault"
@@ -251,12 +250,15 @@ func BenchmarkHammingDecode256(b *testing.B) {
 }
 
 // BenchmarkSection7Multicore runs a short timed coherence sweep (the
-// Sec. 7 multiprocessor experiment).
+// Sec. 7 multiprocessor experiment) as one sweep job. A fresh seed per
+// iteration keeps the service's caches cold.
 func BenchmarkSection7Multicore(b *testing.B) {
+	s := service.New(service.Config{})
+	defer s.Shutdown(context.Background())
 	for i := 0; i < b.N; i++ {
-		out, err := experiments.Section7Multicore(
-			experiments.Budget{Warmup: 2_000, Measure: 5_000, Seed: int64(i)})
-		if err != nil || out == "" {
+		res, err := s.Run(context.Background(), service.JobSpec{
+			Kind: "multicore", Sweep: true, Warmup: 2_000, Measure: 5_000, Seed: int64(i) + 1})
+		if err != nil || res.Artifacts["sec7"] == "" {
 			b.Fatalf("empty section (err=%v)", err)
 		}
 	}
@@ -272,22 +274,8 @@ func BenchmarkShardedSuite(b *testing.B) {
 			spec := service.JobSpec{Kind: "suite", Warmup: 5_000, Measure: 15_000}
 			for i := 0; i < b.N; i++ {
 				s := service.New(service.Config{Workers: workers})
-				job, err := s.Submit(spec)
-				if err != nil {
-					b.Fatalf("submit: %v", err)
-				}
-				for {
-					j, err := s.Job(job.ID)
-					if err != nil {
-						b.Fatalf("poll: %v", err)
-					}
-					if j.State == service.StateDone {
-						break
-					}
-					if j.State == service.StateFailed || j.State == service.StateCanceled {
-						b.Fatalf("job %s: %s", j.State, j.Error)
-					}
-					time.Sleep(time.Millisecond)
+				if _, err := s.Run(context.Background(), spec); err != nil {
+					b.Fatalf("suite: %v", err)
 				}
 				if err := s.Shutdown(context.Background()); err != nil {
 					b.Fatalf("shutdown: %v", err)

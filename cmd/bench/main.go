@@ -358,22 +358,8 @@ func runShardedSuite(b *testing.B, workers int) {
 	spec := service.JobSpec{Kind: "suite", Warmup: 5_000, Measure: 15_000}
 	for i := 0; i < b.N; i++ {
 		s := service.New(service.Config{Workers: workers})
-		job, err := s.Submit(spec)
-		if err != nil {
-			panic(fmt.Sprintf("sharded suite submit: %v", err))
-		}
-		for {
-			j, err := s.Job(job.ID)
-			if err != nil {
-				panic(fmt.Sprintf("sharded suite poll: %v", err))
-			}
-			if j.State == service.StateDone {
-				break
-			}
-			if j.State == service.StateFailed || j.State == service.StateCanceled {
-				panic(fmt.Sprintf("sharded suite job %s: %s", j.State, j.Error))
-			}
-			time.Sleep(time.Millisecond)
+		if _, err := s.Run(context.Background(), spec); err != nil {
+			panic(fmt.Sprintf("sharded suite: %v", err))
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		if err := s.Shutdown(ctx); err != nil {

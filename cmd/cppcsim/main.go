@@ -12,8 +12,6 @@ import (
 	"fmt"
 	"os"
 
-	"cppc/internal/cache"
-	"cppc/internal/energy"
 	"cppc/internal/experiments"
 	"cppc/internal/tables"
 	"cppc/internal/trace"
@@ -22,7 +20,7 @@ import (
 func main() {
 	var (
 		bench  = flag.String("bench", "gzip", "benchmark profile name")
-		scheme = flag.String("scheme", "cppc", "protection: parity-1d, cppc, secded, parity-2d")
+		scheme = flag.String("scheme", "cppc", "protection: parity-1d, cppc, secded, parity-2d, cppc-silent")
 		n      = flag.Int("n", 1_500_000, "instructions to measure")
 		warmup = flag.Int("warmup", 500_000, "instructions to warm the caches")
 		seed   = flag.Int64("seed", 1, "workload seed")
@@ -69,18 +67,9 @@ func main() {
 		return
 	}
 
-	var id experiments.SchemeID
-	switch *scheme {
-	case "parity-1d":
-		id = experiments.Parity1D
-	case "cppc":
-		id = experiments.CPPC
-	case "secded":
-		id = experiments.SECDED
-	case "parity-2d":
-		id = experiments.TwoDim
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scheme %q\n", *scheme)
+	id, err := experiments.ParseScheme(*scheme)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	budget := experiments.Budget{Warmup: *warmup, Measure: *n, Seed: *seed}
@@ -120,10 +109,7 @@ func main() {
 	t.Addf("dirty fraction", tables.Pct(run.L1Gran.Dirty), tables.Pct(run.L2Gran.Dirty))
 	t.Addf("Tavg (cycles)", fmt.Sprintf("%.0f", run.L1Gran.Tavg), fmt.Sprintf("%.0f", run.L2Gran.Tavg))
 
-	l1m := energy.New(cache.L1DConfig(), 8, 1)
-	l2m := energy.New(cache.L2Config(), 8, 1)
-	e1 := energy.Count(run.L1, l1m, 1, run.Folds.L1)
-	e2 := energy.Count(run.L2, l2m, 4, run.Folds.L2)
+	e1, e2 := run.Energy()
 	t.Addf("dynamic energy (uJ)",
 		fmt.Sprintf("%.2f", e1.Total()/1e6), fmt.Sprintf("%.2f", e2.Total()/1e6))
 	fmt.Print(t.String())

@@ -5,7 +5,10 @@
 //	repro -quick           # smaller instruction budget
 //	repro -table1 -fig10   # selected experiments only
 //
-// Output is textual tables; EXPERIMENTS.md records a reference run.
+// Every sweep (the benchmark x scheme suite, Sec. 7, the L3 study and
+// the fault campaigns) runs as a job on an in-process internal/service,
+// the same planner, scheduler and renderers cppcd serves. Output is
+// textual tables; EXPERIMENTS.md records a reference run.
 package main
 
 import (
@@ -15,9 +18,11 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"strings"
 	"syscall"
 
 	"cppc/internal/experiments"
+	"cppc/internal/service"
 )
 
 func main() {
@@ -25,7 +30,7 @@ func main() {
 		quick    = flag.Bool("quick", false, "use the reduced instruction budget")
 		seed     = flag.Int64("seed", 1, "workload seed")
 		trials   = flag.Int("trials", 20, "Monte-Carlo trials per fault shape")
-		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "max concurrent simulations in the suite and trial workers per fault campaign")
+		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "workers running sweep cells, and trial workers per coverage or ablation campaign")
 		timeout  = flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
 		table1   = flag.Bool("table1", false, "print Table 1 (configuration)")
 		fig10    = flag.Bool("fig10", false, "reproduce Figure 10 (CPI)")
@@ -45,6 +50,13 @@ func main() {
 		ablate   = flag.Bool("ablate", false, "register-pair and parity-degree ablations")
 	)
 	flag.Parse()
+	// A job spec reads seed 0 and trials < 1 as "use the default", so
+	// passing them on would silently run seed 1 or 20 trials.
+	if *seed == 0 || *trials < 1 {
+		fmt.Fprintln(os.Stderr, "repro: -seed must be nonzero and -trials at least 1")
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	// SIGINT/SIGTERM (and -timeout) cancel the context; the simulation
 	// loops poll it, so an interrupted run exits cleanly mid-suite
@@ -68,53 +80,46 @@ func main() {
 	all := !(*table1 || *fig10 || *fig11 || *fig12 || *table2 || *table3 ||
 		*sec47 || *sec48 || *sec7 || *sec51 || *mc || *fieldmc || *l3 || *coverage || *ablate)
 
-	budget := experiments.DefaultBudget()
+	budget, budgetName := experiments.DefaultBudget(), "default"
 	if *quick {
-		budget = experiments.QuickBudget()
+		budget, budgetName = experiments.QuickBudget(), "quick"
 	}
 	budget.Seed = *seed
+
+	svc := service.New(service.Config{Workers: *parallel})
+	defer svc.Shutdown(context.Background())
+	runJob := func(spec service.JobSpec) *service.Result {
+		res, err := svc.Run(ctx, spec)
+		if err != nil {
+			fail(err)
+		}
+		return res
+	}
 
 	if all || *table1 {
 		fmt.Println(experiments.Table1())
 	}
 
-	needSuite := all || *fig10 || *fig11 || *fig12 || *table2 || *table3
-	var suite *experiments.Suite
-	if needSuite {
+	var figures []string
+	for _, f := range []struct {
+		name string
+		on   bool
+	}{{"fig10", *fig10}, {"fig11", *fig11}, {"fig12", *fig12}, {"table2", *table2}, {"table3", *table3}} {
+		if !all && !f.on {
+			continue
+		}
+		if *csv && strings.HasPrefix(f.name, "fig") {
+			f.name += ".csv"
+		}
+		figures = append(figures, f.name)
+	}
+	if len(figures) > 0 {
 		fmt.Fprintf(os.Stderr, "simulating %d benchmarks x 4 schemes (%d+%d instructions each, %d-way parallel)...\n",
 			15, budget.Warmup, budget.Measure, *parallel)
-		var err error
-		suite, err = experiments.RunSuiteCtx(ctx, budget, experiments.SuiteOptions{Parallel: *parallel})
-		if err != nil {
-			fail(err)
+		res := runJob(service.JobSpec{Kind: service.KindSuite, Budget: budgetName, Seed: *seed, Figures: figures})
+		for _, f := range figures {
+			fmt.Println(res.Artifacts[f])
 		}
-	}
-	if all || *fig10 {
-		if *csv {
-			fmt.Println(suite.Figure10CSV())
-		} else {
-			fmt.Println(suite.Figure10())
-		}
-	}
-	if all || *fig11 {
-		if *csv {
-			fmt.Println(suite.Figure11CSV())
-		} else {
-			fmt.Println(suite.Figure11())
-		}
-	}
-	if all || *fig12 {
-		if *csv {
-			fmt.Println(suite.Figure12CSV())
-		} else {
-			fmt.Println(suite.Figure12())
-		}
-	}
-	if all || *table2 {
-		fmt.Println(suite.Table2String())
-	}
-	if all || *table3 {
-		fmt.Println(suite.Table3())
 	}
 	if all || *sec47 {
 		fmt.Println(experiments.Section47())
@@ -123,52 +128,37 @@ func main() {
 		fmt.Println(experiments.Section48())
 	}
 	if all || *sec7 {
-		checkCtx()
 		fmt.Fprintln(os.Stderr, "running the timed Sec. 7 multiprocessor sweep...")
-		out, err := experiments.Section7MulticoreCtx(ctx, budget)
-		if err != nil {
-			fail(err)
+		// The plain-CPPC sweep, then the cppc-silent one, so elision's
+		// saved write and fold energy reads off cell by cell.
+		for _, silent := range []bool{false, true} {
+			res := runJob(service.JobSpec{Kind: service.KindMulticore, Sweep: true, Silent: silent, Budget: budgetName, Seed: *seed})
+			fmt.Println(res.Artifacts["sec7"])
 		}
-		fmt.Println(out)
 	}
 	if all || *sec51 {
 		fmt.Println(experiments.Section51Area(1))
 	}
-	// Fault campaigns fan their trials across -parallel workers; the
-	// tables are bit-identical whatever the count (the trial executor
-	// replays its reduction in trial order — DESIGN.md, "Deterministic
-	// trial parallelism").
-	campCtx := experiments.WithCellWorkers(ctx, *parallel)
 	if all || *mc {
-		checkCtx()
 		fmt.Fprintln(os.Stderr, "running Monte-Carlo lifetime campaigns...")
-		out, err := experiments.MonteCarloValidationCtx(campCtx, *trials, *seed)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(out)
+		fmt.Println(runJob(service.JobSpec{Kind: service.KindMonteCarlo, Trials: *trials, Seed: *seed}).Artifacts["montecarlo"])
 	}
 	// The field-mix grid is opt-in (not part of `all`): it is the one
 	// campaign whose trials run a full exercise window each, and keeping
 	// it out of the default run keeps repro_output.txt stable.
 	if *fieldmc {
-		checkCtx()
 		fmt.Fprintf(os.Stderr, "running field-mix fault campaigns (%d trials/cell)...\n", *trials)
-		out, err := experiments.FieldMCCtx(campCtx, *trials, *seed)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(out)
+		fmt.Println(runJob(service.JobSpec{Kind: service.KindFieldMC, Trials: *trials, Seed: *seed}).Artifacts["fieldmc"])
 	}
 	if all || *l3 {
-		checkCtx()
 		fmt.Fprintln(os.Stderr, "running the L3 study...")
-		out, err := experiments.SectionL3Ctx(ctx, budget)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(out)
+		fmt.Println(runJob(service.JobSpec{Kind: service.KindL3, Sweep: true, Budget: budgetName, Seed: *seed}).Artifacts["l3"])
 	}
+	// The remaining campaigns fan their trials across -parallel workers;
+	// the tables are bit-identical whatever the count (the trial executor
+	// replays its reduction in trial order — DESIGN.md, "Deterministic
+	// trial parallelism").
+	campCtx := experiments.WithCellWorkers(ctx, *parallel)
 	if all || *coverage {
 		checkCtx()
 		fmt.Fprintf(os.Stderr, "running spatial coverage campaigns (%d trials/shape)...\n", *trials)

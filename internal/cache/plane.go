@@ -50,7 +50,6 @@ type planeFault struct {
 // index (set*ways+way).
 type FaultPlane struct {
 	byLine map[int][]planeFault
-	faults int
 	rng    lfrng.Rand
 }
 
@@ -70,7 +69,6 @@ func (c *Cache) ArmPlane(seed int64) {
 	} else {
 		clear(p.byLine)
 	}
-	p.faults = 0
 	p.rng.Seed(seed)
 	c.plane = p
 }
@@ -81,21 +79,12 @@ func (c *Cache) DisarmPlane() { c.plane = nil }
 // PlaneArmed reports whether a fault plane is attached.
 func (c *Cache) PlaneArmed() bool { return c.plane != nil }
 
-// PlaneFaults is the number of armed persistent faults.
-func (c *Cache) PlaneFaults() int {
-	if c.plane == nil {
-		return 0
-	}
-	return c.plane.faults
-}
-
 func (c *Cache) addPlaneFault(set, way int, f planeFault) {
 	if c.plane == nil {
 		panic("cache: AddFault on unarmed plane")
 	}
 	idx := set*c.nWays + way
 	c.plane.byLine[idx] = append(c.plane.byLine[idx], f)
-	c.plane.faults++
 }
 
 // AddStuckFault arms a stuck-at fault: the mask bits of the word at

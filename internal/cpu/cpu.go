@@ -208,11 +208,6 @@ type Core struct {
 	srcPos, srcLen int
 }
 
-// NewCore wires a core to a single-core data-cache controller stack.
-func NewCore(cfg Config, d *protect.Controller) *Core {
-	return NewCoreWithPort(cfg, ControllerPort{Ctrl: d})
-}
-
 // doneRingMin is the floor for the dependency-tracking ring: every
 // producer distance a trace can carry (trace.MaxDepDistance, which
 // ParseTrace enforces and generated streams stay far below) reads its

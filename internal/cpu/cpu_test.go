@@ -167,12 +167,12 @@ func TestICacheModeling(t *testing.T) {
 	p := gzipProfile()
 	// Without the I-cache.
 	sysA := NewSystem(Parity1DFactory(), Parity1DFactory())
-	coreA := NewCore(Table1Config(), sysA.L1())
+	coreA := NewCoreWithPort(Table1Config(), sysA.Port())
 	base := coreA.Run(p.NewGen(1), 100000)
 
 	// With a 16KB L1I over a 64KB code footprint: extra front-end stalls.
 	sysB := NewSystem(Parity1DFactory(), Parity1DFactory())
-	coreB := NewCore(Table1Config(), sysB.L1())
+	coreB := NewCoreWithPort(Table1Config(), sysB.Port())
 	coreB.SetICache(sysB.L1I, 64<<10)
 	with := coreB.Run(p.NewGen(1), 100000)
 
@@ -196,7 +196,7 @@ func TestICacheModeling(t *testing.T) {
 func TestHaltTruncatesInstructionCount(t *testing.T) {
 	sys := NewSystem(Parity1DFactory(), Parity1DFactory())
 	defer sys.Release()
-	core := NewCore(Table1Config(), sys.L1())
+	core := NewCoreWithPort(Table1Config(), sys.Port())
 	p := gzipProfile()
 	core.Run(p.NewGen(1), 50000) // dirty a working set
 
@@ -232,39 +232,6 @@ func TestHaltTruncatesInstructionCount(t *testing.T) {
 	}
 	if want := float64(res.Cycles) / float64(res.Instructions); res.CPI != want {
 		t.Errorf("CPI %v inconsistent with Cycles/Instructions = %v", res.CPI, want)
-	}
-}
-
-// TestStackPortMatchesControllerPort: the generalized StackPort over the
-// Table 1 two-level stack must reproduce the single-controller port
-// bit-for-bit — same timing, same per-level cache statistics — so the
-// Fig. 10 results are unchanged by the level-list refactor.
-func TestStackPortMatchesControllerPort(t *testing.T) {
-	p, ok := trace.ProfileByName("crafty")
-	if !ok {
-		t.Fatal("crafty profile missing")
-	}
-	const n = 150000
-	mk := func() *System {
-		return NewSystem(CPPCFactory(core.DefaultL1Config()), Parity1DFactory())
-	}
-
-	sysA := mk()
-	defer sysA.Release()
-	resA := NewCore(Table1Config(), sysA.L1()).Run(p.NewGen(7), n)
-
-	sysB := mk()
-	defer sysB.Release()
-	resB := NewCoreWithPort(Table1Config(), sysB.Port()).Run(p.NewGen(7), n)
-
-	if resA != resB {
-		t.Errorf("timing diverged:\n controller: %+v\n stack:      %+v", resA, resB)
-	}
-	if sysA.L1().Stats != sysB.L1().Stats {
-		t.Errorf("L1 stats diverged:\n controller: %+v\n stack:      %+v", sysA.L1().Stats, sysB.L1().Stats)
-	}
-	if sysA.L2().Stats != sysB.L2().Stats {
-		t.Errorf("L2 stats diverged:\n controller: %+v\n stack:      %+v", sysA.L2().Stats, sysB.L2().Stats)
 	}
 }
 
@@ -318,7 +285,7 @@ func TestICacheFaultsAlwaysRecoverable(t *testing.T) {
 	// refetch recovers any fault — the reason the paper's correction
 	// machinery targets the data side.
 	sys := NewSystem(Parity1DFactory(), Parity1DFactory())
-	core := NewCore(Table1Config(), sys.L1())
+	core := NewCoreWithPort(Table1Config(), sys.Port())
 	core.SetICache(sys.L1I, 64<<10)
 	core.Run(gzipProfile().NewGen(2), 50000)
 

@@ -27,9 +27,6 @@ type PrivateMemory interface {
 	PrivateHierarchy() bool
 }
 
-// PrivateHierarchy: a ControllerPort wraps one core's own stack.
-func (p ControllerPort) PrivateHierarchy() bool { return true }
-
 // PrivateHierarchy: a StackPort wraps one core's own level list.
 func (p StackPort) PrivateHierarchy() bool { return true }
 

@@ -11,10 +11,10 @@ import (
 // usage before the store executes (the Fig. 10 contention model), and
 // reports whether the hierarchy has halted on a DUE.
 //
-// Two implementations exist: ControllerPort wraps the single-core
-// protect.Controller stack (the Table 1 hierarchy, bit-identical to the
-// pre-interface core), and coherence.CorePort gives each core of a timed
-// Multiprocessor its own view of the shared MSI hierarchy.
+// Two implementations exist: StackPort drives a single-core level list
+// (the Table 1 hierarchy, or any deeper System stack), and
+// coherence.CorePort gives each core of a timed Multiprocessor its own
+// view of the shared MSI hierarchy.
 type MemoryPort interface {
 	// LoadInto performs a word load at addr issued at cycle now. *res
 	// must be zeroed.
@@ -35,33 +35,13 @@ type MemoryPort interface {
 	Halted() bool
 }
 
-// ControllerPort adapts a single-core protect.Controller stack (L1 over
-// L2 over memory) to the MemoryPort seam.
-type ControllerPort struct {
-	Ctrl *protect.Controller
-}
-
-func (p ControllerPort) LoadInto(addr, now uint64, res *protect.AccessResult) {
-	p.Ctrl.LoadInto(addr, now, res)
-}
-
-func (p ControllerPort) StoreInto(addr, val, now uint64, res *protect.AccessResult) {
-	p.Ctrl.StoreInto(addr, val, now, res)
-}
-
-func (p ControllerPort) PlanStore(addr uint64) (bool, int) { return p.Ctrl.PlanStoreRBW(addr) }
-func (p ControllerPort) PlanLoadMiss(addr uint64) int      { return p.Ctrl.PlanLoadVictimRead(addr) }
-func (p ControllerPort) HitLatency() int                   { return p.Ctrl.C.Cfg.HitLatencyCycles }
-func (p ControllerPort) Halted() bool                      { return p.Ctrl.Halted }
-
 // StackPort adapts a single-core level-list hierarchy (System.Levels) to
 // the MemoryPort seam. Demand accesses and the pre-execution port
 // planning go to Levels[0] — the level the core touches directly, which
-// recurses down the stack itself — so its timing is call-for-call
-// identical to ControllerPort over the same top controller. Halted is
-// the aggregate it exists for: a DUE raised deep in the stack (during a
-// write-back verify at the L2 or L3, say) sets that level's flag, not
-// the L1's, and must still stop the machine.
+// recurses down the stack itself. Halted aggregates every level: a DUE
+// raised deep in the stack (during a write-back verify at the L2 or L3,
+// say) sets that level's flag, not the L1's, and must still stop the
+// machine.
 type StackPort struct {
 	Levels []*protect.Controller
 }

@@ -126,15 +126,9 @@ func RunBenchmark(prof trace.Profile, n int, seed int64, sys *System) Result {
 	return core.Run(prof.NewGen(seed), n)
 }
 
-// RunBenchmarkWarm runs `warmup` instructions to fill the caches (the
-// SimPoint warm-up the paper's methodology implies), resets all statistics,
-// then measures `measure` instructions.
-func RunBenchmarkWarm(prof trace.Profile, warmup, measure int, seed int64, sys *System) Result {
-	return RunSourceWarm(prof.NewGen(seed), warmup, measure, sys)
-}
-
-// RunSourceWarm is RunBenchmarkWarm over any instruction source (e.g. a
-// recorded trace file).
+// RunSourceWarm runs `warmup` instructions of src to fill the caches
+// (the SimPoint warm-up the paper's methodology implies), resets all
+// statistics, then measures `measure` instructions.
 func RunSourceWarm(src trace.Source, warmup, measure int, sys *System) Result {
 	res, _ := RunSourceWarmCtx(context.Background(), src, warmup, measure, sys)
 	return res

@@ -7,7 +7,6 @@ import (
 	"cppc/internal/cache"
 	"cppc/internal/core"
 	"cppc/internal/cpu"
-	"cppc/internal/energy"
 	"cppc/internal/protect"
 	"cppc/internal/reliability"
 	"cppc/internal/tables"
@@ -119,19 +118,12 @@ func EarlyWritebackAblation(accesses int, seed int64) (string, error) {
 func SilentStoreAblation(b Budget) (string, error) {
 	t := tables.New("Fig. 11/12 ablation: silent-store elision (dynamic energy normalized to parity-1d)",
 		"benchmark", "L1 cppc", "L1 cppc-silent", "L2 cppc", "L2 cppc-silent", "elided/store", "CPI silent/cppc")
-	levelEnergy := func(r Run, id SchemeID, level int) float64 {
-		var folds, elided uint64
-		if isCPPC(id) {
-			if level == 1 {
-				folds, elided = r.Folds.L1, r.Elided.L1
-			} else {
-				folds, elided = r.Folds.L2, r.Elided.L2
-			}
-		}
+	levelEnergy := func(r Run, level int) float64 {
+		l1, l2 := r.Energy()
 		if level == 1 {
-			return energy.CountElided(r.L1, l1EnergyModel(id), 1, folds, elided).Total()
+			return l1.Total()
 		}
-		return energy.CountElided(r.L2, l2EnergyModel(id), 4, folds, elided).Total()
+		return l2.Total()
 	}
 	for _, name := range []string{"gzip", "gcc", "mcf", "vpr"} {
 		p, ok := trace.ProfileByName(name)
@@ -146,8 +138,8 @@ func SilentStoreAblation(b Budget) (string, error) {
 			}
 			runs[id] = r
 		}
-		baseL1 := levelEnergy(runs[Parity1D], Parity1D, 1)
-		baseL2 := levelEnergy(runs[Parity1D], Parity1D, 2)
+		baseL1 := levelEnergy(runs[Parity1D], 1)
+		baseL2 := levelEnergy(runs[Parity1D], 2)
 		norm := func(e, base float64) float64 {
 			if base == 0 {
 				return 0
@@ -163,10 +155,10 @@ func SilentStoreAblation(b Budget) (string, error) {
 			cpiRatio = runs[CPPCSilent].CPI / runs[CPPC].CPI
 		}
 		t.Addf(name,
-			norm(levelEnergy(runs[CPPC], CPPC, 1), baseL1),
-			norm(levelEnergy(runs[CPPCSilent], CPPCSilent, 1), baseL1),
-			norm(levelEnergy(runs[CPPC], CPPC, 2), baseL2),
-			norm(levelEnergy(runs[CPPCSilent], CPPCSilent, 2), baseL2),
+			norm(levelEnergy(runs[CPPC], 1), baseL1),
+			norm(levelEnergy(runs[CPPCSilent], 1), baseL1),
+			norm(levelEnergy(runs[CPPC], 2), baseL2),
+			norm(levelEnergy(runs[CPPCSilent], 2), baseL2),
 			tables.Pct(elidedFrac), cpiRatio)
 	}
 	return t.String() +

@@ -1,15 +1,16 @@
 // Package experiments regenerates every table and figure in the paper's
-// evaluation (Sec. 6) plus the quantitative claims of Secs. 4.6-4.8. It
-// is the single source shared by cmd/repro, the benchmark harness and the
-// test suite, so all three report identical numbers for a given
-// instruction budget and seed.
+// evaluation (Sec. 6) plus the quantitative claims of Secs. 4.6-4.8. A
+// sweep is defined here once, as its cells (SuiteCells, Section7Points,
+// L3Benches, MonteCarloSchemes, FieldMCPoints), the function that runs
+// one cell and the renderer that turns the cells into a table.
+// internal/service plans and schedules those cells for the daemon and
+// for cmd/repro alike, so every caller reports identical numbers for a
+// given instruction budget and seed.
 package experiments
 
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"cppc/internal/cache"
 	"cppc/internal/core"
@@ -53,6 +54,16 @@ func (s SchemeID) String() string {
 	return [...]string{"parity-1d", "cppc", "secded", "parity-2d", "cppc-silent"}[s]
 }
 
+// ParseScheme maps a scheme's String name back to its ID.
+func ParseScheme(name string) (SchemeID, error) {
+	for id := Parity1D; id <= CPPCSilent; id++ {
+		if id.String() == name {
+			return id, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown scheme %q (want parity-1d, cppc, secded, parity-2d or cppc-silent)", name)
+}
+
 // schemeFactories returns the (L1, L2) factories for one scheme, in the
 // evaluated configurations of Sec. 6.
 func schemeFactories(id SchemeID) (l1, l2 cpu.SchemeFactory) {
@@ -86,6 +97,19 @@ type Run struct {
 	L2Gran struct{ Dirty, Tavg float64 }
 	Folds  struct{ L1, L2 uint64 } // CPPC register updates
 	Elided struct{ L1, L2 uint64 } // silent stores elided (cppc-silent)
+}
+
+// Energy prices the run's measured L1 and L2 traffic with its scheme's
+// energy models, the ones Figs. 11 and 12 use. Only a CPPC scheme pays
+// for register folds and saves the writes of elided silent stores.
+func (r Run) Energy() (l1, l2 energy.Report) {
+	var folds, elided struct{ L1, L2 uint64 }
+	if isCPPC(r.Scheme) {
+		folds, elided = r.Folds, r.Elided
+	}
+	l1 = energy.CountElided(r.L1, l1EnergyModel(r.Scheme), 1, folds.L1, elided.L1)
+	l2 = energy.CountElided(r.L2, l2EnergyModel(r.Scheme), 4, folds.L2, elided.L2)
+	return l1, l2
 }
 
 // Simulate runs one benchmark under one scheme and collects everything
@@ -142,10 +166,8 @@ type Suite struct {
 }
 
 // SuiteCell names one cell of the suite matrix: one benchmark under one
-// scheme. It is the shared unit of work between the in-process
-// RunSuiteCtx path and the daemon's shard planner — both expand the
-// matrix through SuiteCells, so there is exactly one definition of what
-// the suite computes.
+// scheme. The shard planner expands the matrix through SuiteCells, so
+// there is exactly one definition of what the suite computes.
 type SuiteCell struct {
 	Bench  string
 	Scheme SchemeID
@@ -166,8 +188,8 @@ func SuiteCells() []SuiteCell {
 }
 
 // NewSuite returns an empty suite with the benchmark order prefilled, so
-// cells can be added in any completion order and the rendered figures
-// stay byte-identical to a sequential run.
+// cells can be added in any completion order without changing a byte of
+// the rendered figures.
 func NewSuite(b Budget) *Suite {
 	s := &Suite{Budget: b, Runs: map[string]map[SchemeID]Run{}}
 	for _, p := range trace.Profiles() {
@@ -179,88 +201,6 @@ func NewSuite(b Budget) *Suite {
 
 // Add records one completed cell.
 func (s *Suite) Add(run Run) { s.Runs[run.Bench][run.Scheme] = run }
-
-// SuiteOptions tunes how RunSuiteCtx schedules the experiment matrix.
-type SuiteOptions struct {
-	// Parallel bounds how many (benchmark, scheme) cells simulate
-	// concurrently; values <= 0 mean runtime.GOMAXPROCS(0).
-	Parallel int
-	// OnProgress, when non-nil, is called after each completed cell with
-	// the number of finished cells and the matrix size. Calls are
-	// serialized under an internal lock, so the callback must be quick
-	// and must not call back into the suite.
-	OnProgress func(done, total int)
-}
-
-// RunSuite simulates every benchmark under every scheme. The 60
-// (benchmark, scheme) runs are independent, so they execute in parallel;
-// results are deterministic for a given budget and seed.
-func RunSuite(b Budget) *Suite {
-	s, _ := RunSuiteCtx(context.Background(), b, SuiteOptions{})
-	return s
-}
-
-// RunSuiteCtx is RunSuite with cooperative cancellation and bounded
-// fan-out: a counting semaphore caps concurrent cells at opt.Parallel.
-// On cancellation the partial suite is discarded and the first error
-// (always the context's) is returned.
-func RunSuiteCtx(ctx context.Context, b Budget, opt SuiteOptions) (*Suite, error) {
-	cells := SuiteCells()
-	s := NewSuite(b)
-
-	par := opt.Parallel
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	total := len(cells)
-	sem := make(chan struct{}, par)
-	var (
-		mu       sync.Mutex
-		wg       sync.WaitGroup
-		done     int
-		firstErr error
-	)
-	for _, cell := range cells {
-		p, ok := trace.ProfileByName(cell.Bench)
-		if !ok {
-			return nil, fmt.Errorf("suite: profile %q not found", cell.Bench)
-		}
-		wg.Add(1)
-		go func(p trace.Profile, id SchemeID) {
-			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-			case <-ctx.Done():
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = ctx.Err()
-				}
-				mu.Unlock()
-				return
-			}
-			defer func() { <-sem }()
-			run, err := SimulateCtx(ctx, p, id, b)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
-			}
-			s.Add(run)
-			done++
-			if opt.OnProgress != nil {
-				opt.OnProgress(done, total)
-			}
-		}(p, cell.Scheme)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return s, nil
-}
 
 // Table1 renders the evaluation parameters (the paper's Table 1).
 func Table1() string {
@@ -334,22 +274,12 @@ func l2EnergyModel(id SchemeID) *energy.Model {
 // energyRow computes one benchmark's normalized energies at one level.
 func (s *Suite) energyRow(bench string, level int) (vals [4]float64) {
 	for i, id := range []SchemeID{Parity1D, CPPC, SECDED, TwoDim} {
-		run := s.Runs[bench][id]
-		var rep energy.Report
+		l1, l2 := s.Runs[bench][id].Energy()
 		if level == 1 {
-			folds := uint64(0)
-			if id == CPPC {
-				folds = run.Folds.L1
-			}
-			rep = energy.Count(run.L1, l1EnergyModel(id), 1, folds)
+			vals[i] = l1.Total()
 		} else {
-			folds := uint64(0)
-			if id == CPPC {
-				folds = run.Folds.L2
-			}
-			rep = energy.Count(run.L2, l2EnergyModel(id), 4, folds)
+			vals[i] = l2.Total()
 		}
-		vals[i] = rep.Total()
 	}
 	base := vals[0]
 	for i := range vals {

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"cppc/internal/cache"
+	"cppc/internal/energy"
 	"cppc/internal/trace"
 )
 
@@ -112,6 +114,47 @@ func TestSuiteFigures(t *testing.T) {
 	}
 }
 
+// TestRunEnergyModels pins per-scheme pricing: SECDED runs are priced
+// with the (72,64)/(266,256) code models Figs. 11/12 use, never with the
+// parity model, and only CPPC schemes pay for folds.
+func TestRunEnergyModels(t *testing.T) {
+	st := cache.Stats{LoadHits: 1000, StoreHits: 400, ReadBeforeWrite: 50}
+	run := func(id SchemeID) Run {
+		r := Run{Scheme: id, L1: st, L2: st}
+		r.Folds.L1, r.Folds.L2 = 300, 30
+		return r
+	}
+
+	l1, l2 := run(SECDED).Energy()
+	if want := energy.Count(st, energy.New(cache.L1DConfig(), 8, 8), 1, 0); l1 != want {
+		t.Errorf("SECDED L1 energy = %+v, want the (8,8) model's %+v", l1, want)
+	}
+	if want := energy.Count(st, energy.New(cache.L2Config(), 10, 8), 4, 0); l2 != want {
+		t.Errorf("SECDED L2 energy = %+v, want the (10,8) model's %+v", l2, want)
+	}
+	p1, p2 := run(Parity1D).Energy()
+	if p1 == l1 || p2 == l2 {
+		t.Errorf("SECDED priced like parity-1d: L1 %v vs %v, L2 %v vs %v", l1.Total(), p1.Total(), l2.Total(), p2.Total())
+	}
+	if p1.FoldPJ != 0 || p2.FoldPJ != 0 {
+		t.Errorf("parity-1d paid for folds: %+v %+v", p1, p2)
+	}
+	if c1, _ := run(CPPC).Energy(); c1.FoldPJ == 0 {
+		t.Errorf("CPPC folds not priced: %+v", c1)
+	}
+}
+
+func TestParseScheme(t *testing.T) {
+	for id := Parity1D; id <= CPPCSilent; id++ {
+		if got, err := ParseScheme(id.String()); err != nil || got != id {
+			t.Errorf("ParseScheme(%q) = %v, %v", id.String(), got, err)
+		}
+	}
+	if _, err := ParseScheme("dram"); err == nil {
+		t.Error("unknown scheme accepted")
+	}
+}
+
 func TestSection47And48(t *testing.T) {
 	s47 := Section47()
 	if !strings.Contains(s47, "eliminated") {
@@ -153,10 +196,20 @@ func TestSection7MulticoreReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("coherence sweep")
 	}
-	out, err := Section7Multicore(Budget{Warmup: 5_000, Measure: 10_000, Seed: 3})
-	if err != nil {
-		t.Fatalf("Section7Multicore: %v", err)
+	p, ok := trace.ProfileByName("gzip")
+	if !ok {
+		t.Fatal("gzip profile missing")
 	}
+	b := Budget{Warmup: 5_000, Measure: 10_000, Seed: 3}
+	var runs []MulticoreRun
+	for _, pt := range Section7Points() {
+		r, err := MulticoreCellCtx(context.Background(), p, pt.Cores, pt.SharedFrac, false, b)
+		if err != nil {
+			t.Fatalf("multicore cell %+v: %v", pt, err)
+		}
+		runs = append(runs, r)
+	}
+	out := Section7Table(runs)
 	for _, want := range []string{"cores", "CPI", "slowdown", "RBW/store", "invalidations"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Sec. 7 report missing %q", want)
@@ -238,7 +291,15 @@ func TestMonteCarloValidationReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Monte-Carlo lifetimes")
 	}
-	out := MonteCarloValidation(4, 5)
+	var cells []MonteCarloCell
+	for _, scheme := range MonteCarloSchemes() {
+		c, err := MonteCarloCellCtx(context.Background(), scheme, 4, 5)
+		if err != nil {
+			t.Fatalf("montecarlo cell %s: %v", scheme, err)
+		}
+		cells = append(cells, c)
+	}
+	out := MonteCarloTable(4, cells)
 	for _, want := range []string{"parity-1d", "cppc", "ratio", "lethality"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("MC validation report missing %q", want)
@@ -250,10 +311,20 @@ func TestSectionL3Report(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three-level simulation")
 	}
-	out, err := SectionL3(Budget{Warmup: 30_000, Measure: 60_000, Seed: 1})
-	if err != nil {
-		t.Fatalf("SectionL3: %v", err)
+	b := Budget{Warmup: 30_000, Measure: 60_000, Seed: 1}
+	var runs []L3Run
+	for _, name := range L3Benches() {
+		p, ok := trace.ProfileByName(name)
+		if !ok {
+			t.Fatalf("profile %s missing", name)
+		}
+		r, err := L3Cell(context.Background(), p, b)
+		if err != nil {
+			t.Fatalf("L3 cell %s: %v", name, err)
+		}
+		runs = append(runs, r)
 	}
+	out := L3Table(runs)
 	for _, want := range []string{"mcf", "RBW/store L3", "cppc/parity L3 energy",
 		"parity CPI", "cppc@L3 CPI", "cppc@L2 CPI"} {
 		if !strings.Contains(out, want) {

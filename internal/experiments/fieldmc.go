@@ -11,7 +11,7 @@ import (
 	"cppc/internal/tables"
 )
 
-// FieldMC is the HARP-style field-mix profiler: Monte-Carlo campaigns
+// The field-mix campaign is a HARP-style profiler: Monte-Carlo campaigns
 // over a footprint × lifetime × rate grid (the fault classes the DDR4
 // field study reports, see PAPERS.md), classifying per scheme which
 // classes end Corrected / DUE / SDC. Unlike the transient-only spatial
@@ -128,9 +128,8 @@ func FieldMCCellCtx(ctx context.Context, scheme string, pt FieldPoint, trials in
 }
 
 // FieldMCTable renders the field-mix grid from per-cell results, which
-// must be in point-major, FieldMCSchemes-minor order (the order
-// FieldMCCtx and the daemon's shard planner both produce). The output
-// is byte-identical to the sequential run's.
+// must be in point-major, FieldMCSchemes-minor order (the order the
+// shard planner produces).
 func FieldMCTable(trials int, cells []FieldMCCell) string {
 	schemes := FieldMCSchemes()
 	cols := append([]string{"fault class"}, schemes...)
@@ -156,28 +155,4 @@ func FieldMCTable(trials int, cells []FieldMCCell) string {
 		"(p=0.2/consult), stuck = cell pinned at a level, re-asserted on every array\n" +
 		"consult; rate = fault instances per trial window. Persistent faults defeat\n" +
 		"one-shot repair: only schemes that correct on every access keep running.\n"
-}
-
-// FieldMCCtx is the sequential driver: every grid cell in canonical
-// order, rendered through FieldMCTable. The daemon's sharded fieldmc
-// job kind aggregates to byte-identical output.
-func FieldMCCtx(ctx context.Context, trials int, seed int64) (string, error) {
-	schemes := FieldMCSchemes()
-	cells := make([]FieldMCCell, 0, len(FieldMCPoints())*len(schemes))
-	for _, pt := range FieldMCPoints() {
-		for _, s := range schemes {
-			c, err := FieldMCCellCtx(ctx, s, pt, trials, seed)
-			if err != nil {
-				return "", err
-			}
-			cells = append(cells, c)
-		}
-	}
-	return FieldMCTable(trials, cells), nil
-}
-
-// FieldMC is FieldMCCtx without cancellation.
-func FieldMC(trials int, seed int64) string {
-	s, _ := FieldMCCtx(context.Background(), trials, seed)
-	return s
 }

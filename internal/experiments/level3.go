@@ -136,38 +136,20 @@ func L3Cell(ctx context.Context, p trace.Profile, b Budget) (L3Run, error) {
 	return r, nil
 }
 
-// SectionL3Ctx runs the paper's first named future-work item (Sec. 7): an
-// L3 CPPC under large-footprint workloads. The prediction — "we believe
-// the number of read-before-write operations is smaller in L3 caches",
-// hence even lower energy overhead than the L2's ~7% — is tested by
-// building a three-level hierarchy (parity L1 and L2 over the L3 under
-// test) on the timed Table 1 core and comparing both CPI and the L3's
-// dynamic energy under CPPC and parity.
-func SectionL3Ctx(ctx context.Context, b Budget) (string, error) {
-	runs := make([]L3Run, 0, len(L3Benches()))
-	for _, name := range L3Benches() {
-		p, ok := trace.ProfileByName(name)
-		if !ok {
-			return "", fmt.Errorf("L3 experiment: profile %q not found", name)
-		}
-		r, err := L3Cell(ctx, p, b)
-		if err != nil {
-			return "", err
-		}
-		runs = append(runs, r)
-	}
-	return L3Table(runs), nil
-}
-
 // L3Benches returns the canonical benchmark list of the Sec. 7 L3 study:
-// the large-footprint workloads the paper's conjecture is about. Both
-// the in-process sweep and the daemon's shard planner expand through
-// here.
+// the large-footprint workloads the paper's conjecture is about. The
+// shard planner expands the study through here.
 func L3Benches() []string { return []string{"mcf", "swim", "applu", "bzip2"} }
 
 // L3Table renders the Sec. 7 L3 study from per-cell results, which must
-// be in L3Benches order. The output is byte-identical to the sequential
-// sweep's.
+// be in L3Benches order. The study runs the paper's first named
+// future-work item (Sec. 7): an L3 CPPC under large-footprint workloads.
+// The prediction — "we believe the number of read-before-write
+// operations is smaller in L3 caches", hence even lower energy overhead
+// than the L2's ~7% — is tested by building a three-level hierarchy
+// (parity L1 and L2 over the L3 under test) on the timed Table 1 core
+// and comparing both CPI and the L3's dynamic energy under CPPC and
+// parity.
 func L3Table(runs []L3Run) string {
 	t := tables.New("Sec. 7: L3 CPPC under large-footprint workloads (timed)",
 		"benchmark", "parity CPI", "cppc@L3 CPI", "cppc@L2 CPI",
@@ -186,9 +168,4 @@ func L3Table(runs []L3Run) string {
 		"at the L2 — the L3 advantage is a property of the workload's write reuse, not of\n" +
 		"the level itself. The CPI columns show the timing side: an L3 hit is already 30\n" +
 		"cycles, so CPPC's stolen read-before-write slots are invisible at either level\n"
-}
-
-// SectionL3 is SectionL3Ctx without cancellation.
-func SectionL3(b Budget) (string, error) {
-	return SectionL3Ctx(context.Background(), b)
 }

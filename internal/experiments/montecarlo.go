@@ -11,17 +11,6 @@ import (
 	"cppc/internal/tables"
 )
 
-// MonteCarloValidation cross-checks the Table 3 analytical models with
-// accelerated-rate lifetime testing (the PARMA methodology [22] the
-// paper's Sec. 6.3 model derives from): faults arrive as a Poisson
-// process over a live cache, and the measured mean time to failure is
-// compared with the analytical prediction evaluated at the same rate and
-// the campaign's own measured dirty population and Tavg.
-func MonteCarloValidation(trials int, seed int64) string {
-	s, _ := MonteCarloValidationCtx(context.Background(), trials, seed)
-	return s
-}
-
 // Accelerated-rate campaign parameters shared by every Monte-Carlo cell.
 const (
 	mcLambda  = 2e-7 // faults per bit per access, accelerated
@@ -68,8 +57,13 @@ func MonteCarloCellCtx(ctx context.Context, scheme string, trials int, seed int6
 }
 
 // MonteCarloTable renders the validation from per-scheme cells, which
-// must be in MonteCarloSchemes order. The output is byte-identical to
-// the sequential run's.
+// must be in MonteCarloSchemes order. The validation cross-checks the
+// Table 3 analytical models with accelerated-rate lifetime testing (the
+// PARMA methodology [22] the paper's Sec. 6.3 model derives from):
+// faults arrive as a Poisson process over a live cache, and the measured
+// mean time to failure is compared with the analytical prediction
+// evaluated at the same rate and the campaign's own measured dirty
+// population and Tavg.
 func MonteCarloTable(trials int, cells []MonteCarloCell) string {
 	t := tables.New(
 		fmt.Sprintf("PARMA-style Monte-Carlo validation (lambda=%.0e/bit/access, %d trials)", mcLambda, trials),
@@ -90,18 +84,4 @@ func MonteCarloTable(trials int, cells []MonteCarloCell) string {
 	return t.String() +
 		"ratios near 1 validate the Sec. 6.3 mathematics end to end; censored trials\n" +
 		"outlived the horizon (their lifetime is an underestimate)\n"
-}
-
-// MonteCarloValidationCtx is MonteCarloValidation with cooperative
-// cancellation plumbed into the per-trial campaign loops.
-func MonteCarloValidationCtx(ctx context.Context, trials int, seed int64) (string, error) {
-	cells := make([]MonteCarloCell, 0, len(MonteCarloSchemes()))
-	for _, scheme := range MonteCarloSchemes() {
-		c, err := MonteCarloCellCtx(ctx, scheme, trials, seed)
-		if err != nil {
-			return "", err
-		}
-		cells = append(cells, c)
-	}
-	return MonteCarloTable(trials, cells), nil
 }

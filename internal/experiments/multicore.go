@@ -152,15 +152,6 @@ func MulticoreCellCtx(ctx context.Context, prof trace.Profile, cores int, shared
 	return r, nil
 }
 
-// Section7Multicore evaluates the paper's Sec. 7 multiprocessor
-// hypothesis on the timed machine: write-invalidate coherence steals
-// dirty blocks from their owners, so the read-before-write ratio — and
-// with it CPPC's energy overhead — drops as write sharing rises, while
-// the CPI column shows what bus occupancy and invalidation traffic cost.
-func Section7Multicore(b Budget) (string, error) {
-	return Section7MulticoreCtx(context.Background(), b)
-}
-
 // MulticorePoint is one (cores, sharedFrac) cell of the Sec. 7 sweep.
 type MulticorePoint struct {
 	Cores      int
@@ -170,8 +161,8 @@ type MulticorePoint struct {
 // Section7Points returns the canonical Sec. 7 sweep matrix in row order:
 // cores {1,2,4,8} by shared fraction {0, 0.3, 0.6}, with the redundant
 // 1-core shared points dropped (a single core has nobody to share with).
-// The first point (1 core, private) is the slowdown baseline. Both the
-// in-process sweep and the daemon's shard planner expand through here.
+// The first point (1 core, private) is the slowdown baseline. The shard
+// planner expands the sweep through here.
 func Section7Points() []MulticorePoint {
 	var pts []MulticorePoint
 	for _, cores := range []int{1, 2, 4, 8} {
@@ -187,9 +178,16 @@ func Section7Points() []MulticorePoint {
 
 // Section7Table renders the Sec. 7 sweep from per-cell results, which
 // must be in Section7Points order (runs[0] is the slowdown and energy
-// baseline). The output is byte-identical to the sequential sweep's. The
-// energy columns price L1s+L2+bus over the measurement window; "energy
-// vs 1 core" normalizes against the private single-core cell.
+// baseline). The sweep evaluates the paper's Sec. 7 multiprocessor
+// hypothesis on the timed machine: write-invalidate coherence steals
+// dirty blocks from their owners, so the read-before-write ratio — and
+// with it CPPC's energy overhead — drops as write sharing rises, while
+// the CPI column shows what bus occupancy and invalidation traffic cost.
+// The energy columns price L1s+L2+bus over the measurement window;
+// "energy vs 1 core" normalizes against the private single-core cell.
+// A sweep of cppc-silent cells (silent-store elision in both levels)
+// renders with its own title, so next to the plain sweep it shows the
+// saved write and fold energy cell by cell at identical CPI.
 func Section7Table(runs []MulticoreRun) string {
 	title := "Sec. 7: timed write-invalidate coherence vs. CPPC read-before-writes"
 	if len(runs) > 0 && runs[0].Silent {
@@ -226,32 +224,4 @@ func Section7Table(runs []MulticoreRun) string {
 	}
 	return t.String() +
 		"the paper's hypothesis: invalidations remove dirty blocks, so RBW/store falls with sharing\n"
-}
-
-// Section7MulticoreCtx is Section7Multicore with cooperative
-// cancellation. It renders the plain-CPPC sweep followed by the
-// cppc-silent sweep, so the saved write+fold energy of elision is
-// visible cell by cell at identical CPI.
-func Section7MulticoreCtx(ctx context.Context, b Budget) (string, error) {
-	prof, ok := trace.ProfileByName("gzip")
-	if !ok {
-		return "", fmt.Errorf("multicore: profile %q not found", "gzip")
-	}
-	var out string
-	for _, silent := range []bool{false, true} {
-		pts := Section7Points()
-		runs := make([]MulticoreRun, 0, len(pts))
-		for _, pt := range pts {
-			r, err := MulticoreCellCtx(ctx, prof, pt.Cores, pt.SharedFrac, silent, b)
-			if err != nil {
-				return "", err
-			}
-			runs = append(runs, r)
-		}
-		if silent {
-			out += "\n"
-		}
-		out += Section7Table(runs)
-	}
-	return out, nil
 }

@@ -169,12 +169,6 @@ func CoverageMatrixCfgCtx(ctx context.Context, ccfg cache.Config, mk SchemeFacto
 	return m, nil
 }
 
-// CoverageMatrixInterleaved is CoverageMatrix over the bit-interleaved
-// layout (the SECDED configuration).
-func CoverageMatrixInterleaved(mk SchemeFactory, maxSize, trials int, seed int64) [][]Counts {
-	return CoverageMatrixCfg(interleavedCampaignConfig(), mk, maxSize, trials, seed)
-}
-
 // CoverageMatrixCfg sweeps spatial squares over an explicit cache layout.
 func CoverageMatrixCfg(ccfg cache.Config, mk SchemeFactory, maxSize, trials int, seed int64) [][]Counts {
 	m, _ := CoverageMatrixCfgCtx(context.Background(), ccfg, mk, maxSize, trials, seed)

@@ -3,8 +3,7 @@
 //
 //	GET  /fleet/cells/{hash}         fetch a computed cell's canonical bytes
 //	PUT  /fleet/cells/{hash}         push a computed cell (steal delivery)
-//	POST /fleet/claims/{hash}?owner= single-flight claim: who runs this cell
-//	POST /fleet/claims               batch claim round: one POST arbitrates a whole steal batch
+//	POST /fleet/claims               claim round: one POST arbitrates a batch of cells
 //	GET  /fleet/queue?max=N          cells awaiting a worker, ripe for stealing
 //
 // The Node plugs into the service as its Coordinator: before a worker
@@ -643,11 +642,6 @@ func (n *Node) queuePeer(p *peer, max int) ([]service.QueuedCell, error) {
 // are a few KB.
 const maxCellBytes = 64 << 20
 
-type claimResponse struct {
-	Granted bool   `json:"granted"`
-	Owner   string `json:"owner"`
-}
-
 // claimBatchMax bounds one batch claim request; steal batches are far
 // smaller (the queue handler itself serves at most 64 cells).
 const claimBatchMax = 256
@@ -681,7 +675,6 @@ func (n *Node) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /fleet/cells/{hash}", n.handleGetCell)
 	mux.HandleFunc("PUT /fleet/cells/{hash}", n.handlePutCell)
-	mux.HandleFunc("POST /fleet/claims/{hash}", n.handleClaim)
 	mux.HandleFunc("POST /fleet/claims", n.handleClaimBatch)
 	mux.HandleFunc("GET /fleet/queue", n.handleQueue)
 	if n.cfg.Token == "" {
@@ -734,26 +727,9 @@ func (n *Node) handlePutCell(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-func (n *Node) handleClaim(w http.ResponseWriter, r *http.Request) {
-	hash := r.PathValue("hash")
-	owner := r.URL.Query().Get("owner")
-	if !cellstore.ValidHash(hash) || owner == "" || owner == n.cfg.Self {
-		http.Error(w, "bad claim", http.StatusBadRequest)
-		return
-	}
-	granted, current := n.grant(hash, owner)
-	if granted {
-		n.bump("claims_granted")
-	} else {
-		n.bump("claims_rejected")
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(claimResponse{Granted: granted, Owner: current})
-}
-
-// handleClaimBatch arbitrates a whole steal batch in one request. Each
-// hash is granted or rejected independently, exactly as the per-hash
-// endpoint would decide it.
+// handleClaimBatch arbitrates a whole batch of cells in one request.
+// Each hash is granted or rejected independently, by the same grant rule
+// this node applies to its own claims.
 func (n *Node) handleClaimBatch(w http.ResponseWriter, r *http.Request) {
 	var req claimBatchRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {

@@ -16,6 +16,7 @@ import (
 	"cppc/internal/cellstore"
 	"cppc/internal/experiments"
 	"cppc/internal/service"
+	"cppc/internal/trace"
 )
 
 // tinyBudget keeps per-cell work to a few milliseconds so whole suites
@@ -119,16 +120,24 @@ func waitDone(t *testing.T, s *service.Service, id string, timeout time.Duration
 // TestFleetSuiteExactlyOnce is the tentpole acceptance test: a 60-cell
 // suite submitted to one of three daemons must execute each cell exactly
 // once across the fleet — idle peers steal real work — and render a
-// report byte-identical to the sequential in-process suite.
+// report byte-identical to the suite assembled straight from its cells.
 func TestFleetSuiteExactlyOnce(t *testing.T) {
 	// A long PeerTimeout keeps the local-fallback path out of the way:
 	// any fallback would re-execute a cell and break the exact count.
 	ds := startFleet(t, 3, 1, 15*time.Second, 5*time.Millisecond)
 
 	budget := experiments.Budget{Warmup: tinyWarmup, Measure: tinyMeasure, Seed: 1}
-	seq, err := experiments.RunSuiteCtx(context.Background(), budget, experiments.SuiteOptions{})
-	if err != nil {
-		t.Fatalf("sequential suite: %v", err)
+	seq := experiments.NewSuite(budget)
+	for _, c := range experiments.SuiteCells() {
+		p, ok := trace.ProfileByName(c.Bench)
+		if !ok {
+			t.Fatalf("profile %s missing", c.Bench)
+		}
+		run, err := experiments.SimulateCtx(context.Background(), p, c.Scheme, budget)
+		if err != nil {
+			t.Fatalf("suite cell %s/%s: %v", c.Bench, c.Scheme, err)
+		}
+		seq.Add(run)
 	}
 	want := map[string]string{
 		"fig10":  seq.Figure10(),
@@ -167,7 +176,7 @@ func TestFleetSuiteExactlyOnce(t *testing.T) {
 	}
 	for name, text := range want {
 		if res.Artifacts[name] != text {
-			t.Fatalf("artifact %q diverges from the sequential suite", name)
+			t.Fatalf("artifact %q diverges from the cell-built suite", name)
 		}
 	}
 }
@@ -287,7 +296,6 @@ type fakePeer struct {
 
 	mu          sync.Mutex
 	batchPosts  int      // POST /fleet/claims
-	singlePosts int      // POST /fleet/claims/{hash}
 	batchHashes []string // hashes seen across batch claim posts
 	puts        int      // PUT /fleet/cells/{hash}
 	queue       []service.QueuedCell
@@ -321,13 +329,6 @@ func newFakePeer(queue []service.QueuedCell) *fakePeer {
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(claimBatchResponse{Results: results})
 	})
-	mux.HandleFunc("POST /fleet/claims/{hash}", func(w http.ResponseWriter, r *http.Request) {
-		f.mu.Lock()
-		f.singlePosts++
-		f.mu.Unlock()
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(claimResponse{Granted: true, Owner: r.URL.Query().Get("owner")})
-	})
 	mux.HandleFunc("PUT /fleet/cells/{hash}", func(w http.ResponseWriter, r *http.Request) {
 		io.Copy(io.Discard, r.Body)
 		f.mu.Lock()
@@ -344,7 +345,7 @@ func newFakePeer(queue []service.QueuedCell) *fakePeer {
 
 // TestStealBatchClaimsOnePostPerPeer pins the batch claim round: a steal
 // batch of four cells must cost exactly one POST /fleet/claims per live
-// peer — not one claim request per cell — and no legacy per-hash posts.
+// peer, not one claim request per cell.
 func TestStealBatchClaimsOnePostPerPeer(t *testing.T) {
 	const batch = 4
 	cells := make([]service.QueuedCell, batch)
@@ -391,9 +392,6 @@ func TestStealBatchClaimsOnePostPerPeer(t *testing.T) {
 		p.mu.Lock()
 		if p.batchPosts != 1 {
 			t.Errorf("%s: %d batch claim posts for one steal batch, want 1", name, p.batchPosts)
-		}
-		if p.singlePosts != 0 {
-			t.Errorf("%s: %d per-hash claim posts, want 0", name, p.singlePosts)
 		}
 		if len(p.batchHashes) != batch {
 			t.Errorf("%s: batch claimed %d hashes, want %d", name, len(p.batchHashes), batch)

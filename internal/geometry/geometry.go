@@ -173,9 +173,3 @@ func (l Layout) Flips(f SpatialFault) []WordFlips {
 	}
 	return out
 }
-
-// MaxCorrectableSquare reports the largest square the byte-shifted CPPC
-// targets: 8x8, with the Sec. 4.6 corner cases (full 8x8 faults, faults
-// on rows exactly 8/pairs apart, and the tall-vertical-column degeneracy
-// documented in DESIGN.md) requiring at least two register pairs.
-func MaxCorrectableSquare() int { return NumClasses }

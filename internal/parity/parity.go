@@ -62,8 +62,3 @@ func (c Interleaved) Syndrome(w, check uint64) uint64 {
 func (c Interleaved) FaultyStripes(w, check uint64) []int {
 	return bitops.FaultyStripes(c.Syndrome(w, check), c.Degree)
 }
-
-// MaxDetectableSpatial is the widest horizontal burst the code is guaranteed
-// to detect: any spatial MBE flipping Degree or fewer adjacent bits in one
-// word flips at most one bit per stripe.
-func (c Interleaved) MaxDetectableSpatial() int { return c.Degree }

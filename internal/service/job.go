@@ -54,6 +54,11 @@ type Job struct {
 
 	result *Result
 
+	// done is closed at the job's terminal transition; Run waits on it.
+	// It stays nil for a job the caches answered at submit, which is
+	// terminal before anyone could wait.
+	done chan struct{}
+
 	// Shard bookkeeping, owned by the Service. plan holds the job's
 	// normalized cell specs in aggregation order; cellRes fills in as
 	// cells complete (delivered marks which). Snapshots share these

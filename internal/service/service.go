@@ -268,6 +268,7 @@ func (s *Service) Submit(spec JobSpec) (Job, error) {
 		s.backlogJobs++
 	}
 	job.unstarted = unstarted
+	job.done = make(chan struct{})
 	for _, i := range missing {
 		h := job.planHash[i]
 		if c, ok := s.cells[h]; ok {
@@ -287,6 +288,35 @@ func (s *Service) Submit(spec JobSpec) (Job, error) {
 		s.markRunningLocked(job, now)
 	}
 	return *job, nil
+}
+
+// Run submits spec and blocks until the job ends, returning its result.
+// It is the in-process door to the planner, scheduler and renderers the
+// HTTP API drives. A job the caches answer at submit returns at once.
+// When ctx ends first, Run cancels the job — cells no other job waits on
+// stop — and returns ctx's error.
+func (s *Service) Run(ctx context.Context, spec JobSpec) (*Result, error) {
+	job, err := s.Submit(spec)
+	if err != nil {
+		return nil, err
+	}
+	if job.done == nil {
+		return job.result, nil
+	}
+	select {
+	case <-job.done:
+	case <-ctx.Done():
+		s.Cancel(job.ID) // cannot fail: jobs are never unregistered
+		return nil, ctx.Err()
+	}
+	end, res, err := s.JobResult(job.ID)
+	if err != nil {
+		return nil, err
+	}
+	if end.State != StateDone {
+		return nil, fmt.Errorf("job %s %s: %s", end.ID, end.State, end.Error)
+	}
+	return res, nil
 }
 
 // register must run under s.mu. It indexes the job and counts the
@@ -357,12 +387,22 @@ func (s *Service) Cancel(id string) (Job, error) {
 // releases its cells. Must run under s.mu.
 func (s *Service) finishCanceledLocked(j *Job, reason string, now time.Time) {
 	s.detachLocked(j)
+	s.endLocked(j, StateCanceled, reason, now)
+	s.canceled++
+}
+
+// endLocked is a job's one terminal transition: it releases the job's
+// claim on the queue bound, stamps the end state and wakes Run. Only a
+// job Submit left queued or running gets here, and callers check that
+// it is not terminal yet, so done exists and is closed exactly once.
+// Must run under s.mu.
+func (s *Service) endLocked(j *Job, state State, errMsg string, now time.Time) {
 	s.clearBacklogLocked(j)
-	j.State = StateCanceled
-	j.Error = reason
+	j.State = state
+	j.Error = errMsg
 	j.Finished = &now
 	j.Version++
-	s.canceled++
+	close(j.done)
 }
 
 // detachLocked removes the job from every cell it is still waiting on.
@@ -578,21 +618,16 @@ func (s *Service) finishAggregatedLocked(p *Job, agg *Result, err error, end tim
 	if p.State.terminal() {
 		return
 	}
-	s.clearBacklogLocked(p)
-	t := end
-	p.Finished = &t
-	p.Version++
 	if err != nil {
-		p.State = StateFailed
-		p.Error = err.Error()
+		s.endLocked(p, StateFailed, err.Error(), end)
 		s.failed++
 		return
 	}
 	if p.Started != nil {
 		agg.ElapsedMs = end.Sub(*p.Started).Milliseconds()
 	}
-	p.State = StateDone
 	p.result = agg
+	s.endLocked(p, StateDone, "", end)
 	s.cache.put(p.Hash, agg)
 	s.completed++
 }
@@ -608,12 +643,7 @@ func (s *Service) failLocked(p *Job, err error, canceled bool, end time.Time) {
 		return
 	}
 	s.detachLocked(p)
-	s.clearBacklogLocked(p)
-	t := end
-	p.State = StateFailed
-	p.Error = err.Error()
-	p.Finished = &t
-	p.Version++
+	s.endLocked(p, StateFailed, err.Error(), end)
 	s.failed++
 }
 
@@ -755,7 +785,7 @@ func executeCell(ctx context.Context, spec JobSpec) (cellResult, error) {
 	switch spec.Kind {
 	case KindSimulate:
 		prof, _ := trace.ProfileByName(spec.Bench)
-		id, _ := parseScheme(spec.Scheme)
+		id, _ := experiments.ParseScheme(spec.Scheme)
 		run, err := experiments.SimulateCtx(ctx, prof, id, spec.budget())
 		if err != nil {
 			return cellResult{}, err
@@ -794,9 +824,8 @@ func executeCell(ctx context.Context, spec JobSpec) (cellResult, error) {
 }
 
 // aggregate assembles a job's report from its completed cells (in plan
-// order). The rendered artifacts are byte-identical to the sequential
-// in-process sweeps', because both paths go through the same experiments
-// renderers.
+// order) through the experiments renderers, so the artifacts do not
+// depend on the order in which cells completed.
 func aggregate(spec JobSpec, cells []cellResult) (*Result, error) {
 	res := &Result{Kind: spec.Kind, Artifacts: map[string]string{}}
 	switch {
@@ -813,18 +842,7 @@ func aggregate(spec JobSpec, cells []cellResult) (*Result, error) {
 			want = suiteArtifacts
 		}
 		for _, f := range want {
-			switch f {
-			case "fig10":
-				res.Artifacts[f] = suite.Figure10()
-			case "fig11":
-				res.Artifacts[f] = suite.Figure11()
-			case "fig12":
-				res.Artifacts[f] = suite.Figure12()
-			case "table2":
-				res.Artifacts[f] = suite.Table2String()
-			case "table3":
-				res.Artifacts[f] = suite.Table3()
-			}
+			res.Artifacts[f] = suiteRenderers[f](suite)
 		}
 	case spec.Kind == KindSimulate:
 		run := cells[0].Run

@@ -256,13 +256,15 @@ func TestCanonicalSpecHash(t *testing.T) {
 		t.Fatalf("first run claims a cache hit")
 	}
 
-	// Equivalent spelling: explicit defaults and a scheduling-only knob.
-	equiv := base
-	equiv.Seed = 1
-	equiv.Parallel = 3
-	second := submitWait(equiv)
-	if !second.CacheHit {
-		t.Fatalf("equivalent spec missed the cache (hash %s vs %s)", second.Hash, first.Hash)
+	// Equivalent spelling: explicit defaults, plus the retired
+	// "parallel" field an old client may still send — the decoder
+	// ignores it, so the spec still hits the cache.
+	ts := httptest.NewServer(service.NewServer(svc).Handler())
+	defer ts.Close()
+	second, code := postJob(t, ts.URL,
+		`{"kind":"simulate","bench":"gzip","scheme":"cppc","warmup":1000,"measure":2000,"seed":1,"parallel":3}`)
+	if code != http.StatusOK || !second.CacheHit {
+		t.Fatalf("equivalent spec missed the cache: status %d (hash %s vs %s)", code, second.Hash, first.Hash)
 	}
 
 	// A different seed computes different numbers: no sharing.

@@ -46,6 +46,26 @@ func waitJob(t *testing.T, s *service.Service, id string, want func(service.Job)
 
 func jobDone(j service.Job) bool { return j.State == service.StateDone }
 
+// cellSuite simulates the suite matrix straight from the cell API —
+// SuiteCells, SimulateCtx, NewSuite/Add — with no planner or aggregator
+// in the way, so it is the reference a sharded suite must match.
+func cellSuite(t *testing.T, b experiments.Budget) *experiments.Suite {
+	t.Helper()
+	suite := experiments.NewSuite(b)
+	for _, c := range experiments.SuiteCells() {
+		p, ok := trace.ProfileByName(c.Bench)
+		if !ok {
+			t.Fatalf("profile %s missing", c.Bench)
+		}
+		run, err := experiments.SimulateCtx(context.Background(), p, c.Scheme, b)
+		if err != nil {
+			t.Fatalf("suite cell %s/%s: %v", c.Bench, c.Scheme, err)
+		}
+		suite.Add(run)
+	}
+	return suite
+}
+
 func shutdown(t *testing.T, s *service.Service) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -206,14 +226,10 @@ func TestCancelParentCancelsCells(t *testing.T) {
 }
 
 // TestShardedSuiteByteIdentical requires the sharded suite — on one
-// worker and on eight — to render byte-identical artifacts to the
-// sequential in-process suite.
+// worker and on eight — to render byte-identical artifacts to the suite
+// assembled straight from its cells.
 func TestShardedSuiteByteIdentical(t *testing.T) {
-	budget := experiments.Budget{Warmup: tinyWarmup, Measure: tinyMeasure, Seed: 1}
-	seq, err := experiments.RunSuiteCtx(context.Background(), budget, experiments.SuiteOptions{})
-	if err != nil {
-		t.Fatalf("sequential suite: %v", err)
-	}
+	seq := cellSuite(t, experiments.Budget{Warmup: tinyWarmup, Measure: tinyMeasure, Seed: 1})
 	want := map[string]string{
 		"fig10":  seq.Figure10(),
 		"fig11":  seq.Figure11(),
@@ -232,10 +248,47 @@ func TestShardedSuiteByteIdentical(t *testing.T) {
 		}
 		for name, text := range want {
 			if res.Artifacts[name] != text {
-				t.Fatalf("artifact %q on %d workers diverges from the sequential suite", name, workers)
+				t.Fatalf("artifact %q on %d workers diverges from the cell-built suite", name, workers)
 			}
 		}
 		shutdown(t, s)
+	}
+}
+
+// TestSuiteCSVArtifacts pins the suite's CSV exports: a .csv figure is
+// rendered only when named, matches the Suite's CSV renderer, and
+// naming one next to the default artifacts never collapses the spec to
+// the default "all" form.
+func TestSuiteCSVArtifacts(t *testing.T) {
+	s := service.New(service.Config{Workers: 2})
+	defer shutdown(t, s)
+	budget := experiments.Budget{Warmup: tinyWarmup, Measure: tinyMeasure, Seed: 1}
+	seq := cellSuite(t, budget)
+
+	spec := service.JobSpec{Kind: "suite", Warmup: tinyWarmup, Measure: tinyMeasure,
+		Figures: []string{"fig10.csv", "fig12"}}
+	res, err := s.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if len(res.Artifacts) != 2 || res.Artifacts["fig10.csv"] != seq.Figure10CSV() || res.Artifacts["fig12"] != seq.Figure12() {
+		t.Fatalf("csv suite artifacts = %v, want fig10.csv and fig12 from the cell-built suite", res.Artifacts)
+	}
+
+	// Every cell is cached now, so these submissions complete at once.
+	all := submitSpec(t, s, service.JobSpec{Kind: "suite", Warmup: tinyWarmup, Measure: tinyMeasure})
+	five := []string{"fig10", "fig11", "fig12", "table2", "fig10.csv"}
+	mixed := submitSpec(t, s, service.JobSpec{Kind: "suite", Warmup: tinyWarmup, Measure: tinyMeasure, Figures: five})
+	if mixed.Hash == all.Hash || len(mixed.Spec.Figures) != len(five) {
+		t.Fatalf("figures %v normalized to %v (hash shared with all: %v)", five, mixed.Spec.Figures, mixed.Hash == all.Hash)
+	}
+	_, mres, err := s.JobResult(mixed.ID)
+	if err != nil || mres == nil || mres.Artifacts["table3"] != "" || mres.Artifacts["fig10.csv"] != seq.Figure10CSV() {
+		t.Fatalf("mixed suite result = %+v, %v", mres, err)
+	}
+
+	if _, err := s.Submit(service.JobSpec{Kind: "suite", Figures: []string{"fig99.csv"}}); err == nil {
+		t.Fatal("unknown csv figure accepted")
 	}
 }
 
@@ -301,14 +354,21 @@ func TestSweepSpecNormalization(t *testing.T) {
 
 // TestShardedFieldMCByteIdentical requires the sharded fieldmc job — on
 // one worker and on eight — to render the field-mix grid byte-identical
-// to the sequential in-process campaign, and a single-cell job
+// to the table rendered straight from its cells, and a single-cell job
 // submitted afterwards to complete from the cell cache.
 func TestShardedFieldMCByteIdentical(t *testing.T) {
 	const trials = 2
-	want, err := experiments.FieldMCCtx(context.Background(), trials, 1)
-	if err != nil {
-		t.Fatalf("sequential fieldmc: %v", err)
+	var cells []experiments.FieldMCCell
+	for _, pt := range experiments.FieldMCPoints() {
+		for _, sch := range experiments.FieldMCSchemes() {
+			c, err := experiments.FieldMCCellCtx(context.Background(), sch, pt, trials, 1)
+			if err != nil {
+				t.Fatalf("fieldmc cell %s @ %s: %v", sch, pt, err)
+			}
+			cells = append(cells, c)
+		}
 	}
+	want := experiments.FieldMCTable(trials, cells)
 
 	for _, workers := range []int{1, 8} {
 		s := service.New(service.Config{Workers: workers})
@@ -323,7 +383,7 @@ func TestShardedFieldMCByteIdentical(t *testing.T) {
 			t.Fatalf("fieldmc result on %d workers: %+v, %v", workers, res, err)
 		}
 		if res.Artifacts["fieldmc"] != want {
-			t.Fatalf("fieldmc artifact on %d workers diverges from the sequential campaign", workers)
+			t.Fatalf("fieldmc artifact on %d workers diverges from the cell-built table", workers)
 		}
 
 		cell := submitSpec(t, s, service.JobSpec{
@@ -365,9 +425,9 @@ func TestFieldMCSpecNormalization(t *testing.T) {
 
 // TestShardedSilentSweepByteIdentical requires the silent-store sweep —
 // sharded on one worker and on eight — to render the Sec. 7 table
-// byte-identical to the sequential in-process sweep, and the silent
-// knob to address its own cache cells (a plain point must not hit a
-// silent cell).
+// byte-identical to the table rendered straight from its cells, and the
+// silent knob to address its own cache cells (a plain point must not
+// hit a silent cell).
 func TestShardedSilentSweepByteIdentical(t *testing.T) {
 	budget := experiments.Budget{Warmup: tinyWarmup, Measure: tinyMeasure, Seed: 1}
 	prof, ok := trace.ProfileByName("gzip")

@@ -4,7 +4,9 @@
 // worker pool with a FIFO queue and per-job cancellation, a
 // content-addressed result cache so repeated figure regenerations are
 // free, streaming job progress, and a /metrics endpoint. cmd/cppcd is
-// the thin binary around it.
+// the thin binary around it. The same planner, scheduler and renderers
+// also serve in-process callers through Service.Run: cmd/repro runs
+// every sweep of the paper's evaluation that way.
 package service
 
 import (
@@ -28,9 +30,23 @@ const (
 	KindFieldMC    = "fieldmc"    // field-mix footprint x lifetime x rate campaign
 )
 
-// suiteArtifacts are the renderable outputs of a suite job, in canonical
-// order.
+// suiteArtifacts are the outputs a suite job renders by default, in
+// canonical order.
 var suiteArtifacts = []string{"fig10", "fig11", "fig12", "table2", "table3"}
+
+// suiteRenderers renders every artifact a suite job can name: the
+// default set plus the figures' CSV exports, which are rendered only on
+// request.
+var suiteRenderers = map[string]func(*experiments.Suite) string{
+	"fig10":     (*experiments.Suite).Figure10,
+	"fig11":     (*experiments.Suite).Figure11,
+	"fig12":     (*experiments.Suite).Figure12,
+	"table2":    (*experiments.Suite).Table2String,
+	"table3":    (*experiments.Suite).Table3,
+	"fig10.csv": (*experiments.Suite).Figure10CSV,
+	"fig11.csv": (*experiments.Suite).Figure11CSV,
+	"fig12.csv": (*experiments.Suite).Figure12CSV,
+}
 
 // JobSpec is the JSON body of POST /jobs. Unset fields take defaults
 // during normalization, so two specs that mean the same work hash to the
@@ -70,27 +86,10 @@ type JobSpec struct {
 	// per-cell sub-jobs scheduled across the whole worker pool.
 	Sweep bool `json:"sweep,omitempty"`
 
-	// Figures restricts which suite artifacts are rendered (subset of
-	// fig10 fig11 fig12 table2 table3); empty means all of them.
+	// Figures selects which suite artifacts are rendered: any of fig10
+	// fig11 fig12 table2 table3, plus fig10.csv fig11.csv fig12.csv for
+	// the figures as CSV. Empty means the first five.
 	Figures []string `json:"figures,omitempty"`
-
-	// Parallel bounds the suite job's internal fan-out (0 = GOMAXPROCS).
-	// It only affects scheduling, never results, so it is excluded from
-	// the cache key.
-	Parallel int `json:"parallel,omitempty"`
-}
-
-// parseScheme maps the wire names to experiments scheme IDs.
-func parseScheme(name string) (experiments.SchemeID, error) {
-	for _, id := range []experiments.SchemeID{
-		experiments.Parity1D, experiments.CPPC, experiments.SECDED, experiments.TwoDim,
-		experiments.CPPCSilent,
-	} {
-		if id.String() == name {
-			return id, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown scheme %q (want parity-1d, cppc, secded, parity-2d or cppc-silent)", name)
 }
 
 // normalize validates the spec and fills every defaulted field, returning
@@ -123,10 +122,6 @@ func (s JobSpec) normalize() (JobSpec, error) {
 			return n, fmt.Errorf("unknown budget %q (want quick or default)", n.Budget)
 		}
 	}
-	if n.Parallel < 0 {
-		n.Parallel = 0
-	}
-
 	if n.Sweep && n.Kind != KindMulticore && n.Kind != KindL3 {
 		return n, fmt.Errorf("sweep applies to %s and %s jobs only", KindMulticore, KindL3)
 	}
@@ -140,21 +135,19 @@ func (s JobSpec) normalize() (JobSpec, error) {
 		seen := map[string]bool{}
 		var figs []string
 		for _, f := range n.Figures {
+			if suiteRenderers[f] == nil {
+				return n, fmt.Errorf("unknown figure %q (want one of %v, or fig10.csv, fig11.csv, fig12.csv)", f, suiteArtifacts)
+			}
 			if !seen[f] {
 				seen[f] = true
 				figs = append(figs, f)
 			}
 		}
-		for _, f := range figs {
-			known := false
-			for _, k := range suiteArtifacts {
-				known = known || f == k
-			}
-			if !known {
-				return n, fmt.Errorf("unknown figure %q (want one of %v)", f, suiteArtifacts)
-			}
+		all := len(figs) == len(suiteArtifacts)
+		for _, f := range suiteArtifacts {
+			all = all && seen[f]
 		}
-		if len(figs) == 0 || len(figs) == len(suiteArtifacts) {
+		if all {
 			figs = nil // "all" is the canonical form
 		}
 		sort.Strings(figs)
@@ -163,7 +156,7 @@ func (s JobSpec) normalize() (JobSpec, error) {
 		if _, ok := trace.ProfileByName(n.Bench); !ok {
 			return n, fmt.Errorf("unknown benchmark %q", n.Bench)
 		}
-		if _, err := parseScheme(n.Scheme); err != nil {
+		if _, err := experiments.ParseScheme(n.Scheme); err != nil {
 			return n, err
 		}
 		n.Trials = 0
@@ -373,10 +366,9 @@ func (s JobSpec) budget() experiments.Budget {
 }
 
 // hash is the content address of a normalized spec: a SHA-256 over its
-// canonical JSON with scheduling-only fields (Parallel) zeroed, so two
-// submissions that compute the same result share one cache entry.
+// canonical JSON, so two submissions that compute the same result share
+// one cache entry.
 func (s JobSpec) hash() string {
-	s.Parallel = 0
 	raw, err := json.Marshal(s) // struct marshaling is deterministic
 	if err != nil {
 		panic("service: spec marshal: " + err.Error()) // unreachable: plain fields

@@ -3,6 +3,8 @@ package trace
 import (
 	"sync"
 	"testing"
+
+	"cppc/internal/lfrng"
 )
 
 // TestMemoGenMatchesGen checks that a memoized reader produces exactly
@@ -132,7 +134,7 @@ func TestCoreGenMemoMatchesStream(t *testing.T) {
 		for i, g := range gens {
 			s := int64(5) + int64(i)*0x9e3779b9
 			base := p.NewGen(s)
-			var coin lfRand
+			var coin lfrng.Rand
 			coin.Seed(s ^ 0x5deece66d)
 
 			const n = 700

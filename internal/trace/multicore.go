@@ -1,5 +1,7 @@
 package trace
 
+import "cppc/internal/lfrng"
+
 // Per-core trace sources for the Sec. 7 multiprocessor runs. Every core
 // draws from the same profile but its own deterministic stream; a
 // configurable fraction of each core's memory accesses lands in a region
@@ -32,7 +34,7 @@ type relocKey struct {
 // reader forks past the prefix cap.
 type relocGen struct {
 	base       *MemoGen
-	coin       lfRand
+	coin       lfrng.Rand
 	sharedFrac float64
 	offset     uint64 // base of this core's private region
 }

@@ -9,6 +9,8 @@
 // Generation is deterministic for a given (profile, seed).
 package trace
 
+import "cppc/internal/lfrng"
+
 // Op classifies an instruction for the timing model.
 type Op uint8
 
@@ -92,7 +94,7 @@ type Profile struct {
 // allocation, and embedding (trace.CoreGen) costs none.
 type Gen struct {
 	p   Profile
-	rng lfRand
+	rng lfrng.Rand
 
 	seqAddr      uint64
 	storeAddr    uint64 // fresh-store sweep pointer
@@ -101,8 +103,8 @@ type Gen struct {
 	recentStores [64]uint64
 	rsHead       int
 
-	// Draw bounds fixed by the profile, precomputed once (see lfBound).
-	depB, dep2B, rsB, hotB, wsB lfBound
+	// Draw bounds fixed by the profile, precomputed once (see lfrng.Bound).
+	depB, dep2B, rsB, hotB, wsB lfrng.Bound
 
 	// Cumulative op-mix thresholds, precomputed from the profile so Next
 	// compares the mix draw against constants instead of re-summing the
@@ -123,12 +125,12 @@ func (p Profile) initGen(g *Gen, seed int64) {
 	*g = Gen{p: p}
 	g.rng.Seed(seed)
 	if p.DepDistance > 0 {
-		g.depB = makeBound(p.DepDistance)
-		g.dep2B = makeBound(p.DepDistance * 2)
+		g.depB = lfrng.MakeBound(p.DepDistance)
+		g.dep2B = lfrng.MakeBound(p.DepDistance * 2)
 	}
-	g.rsB = makeBound(len(g.recentStores))
-	g.hotB = makeBound(p.HotBytes / 8)
-	g.wsB = makeBound(p.WorkingSetBytes / 8)
+	g.rsB = lfrng.MakeBound(len(g.recentStores))
+	g.hotB = lfrng.MakeBound(p.HotBytes / 8)
+	g.wsB = lfrng.MakeBound(p.WorkingSetBytes / 8)
 	g.loadT = p.LoadFrac
 	g.storeT = p.LoadFrac + p.StoreFrac
 	g.branchT = p.LoadFrac + p.StoreFrac + p.BranchFrac
