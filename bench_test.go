@@ -45,6 +45,15 @@ func benchProfiles() []trace.Profile {
 	return out
 }
 
+// simulate runs one cell of the figure matrix, failing b on error.
+func simulate(b *testing.B, p trace.Profile, id experiments.SchemeID, bud experiments.Budget) experiments.Run {
+	r, err := experiments.SimulateCtx(context.Background(), p, id, bud)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return r
+}
+
 // BenchmarkTable1Config renders the configuration table.
 func BenchmarkTable1Config(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -60,9 +69,9 @@ func BenchmarkFigure10CPI(b *testing.B) {
 	bud := benchBudget()
 	for i := 0; i < b.N; i++ {
 		for _, p := range benchProfiles() {
-			base := experiments.Simulate(p, experiments.Parity1D, bud)
-			cp := experiments.Simulate(p, experiments.CPPC, bud)
-			td := experiments.Simulate(p, experiments.TwoDim, bud)
+			base := simulate(b, p, experiments.Parity1D, bud)
+			cp := simulate(b, p, experiments.CPPC, bud)
+			td := simulate(b, p, experiments.TwoDim, bud)
 			if cp.CPI < base.CPI*0.99 || td.CPI < base.CPI*0.99 {
 				b.Fatalf("%s: CPI ordering broken: %.3f %.3f %.3f",
 					p.Name, base.CPI, cp.CPI, td.CPI)
@@ -91,7 +100,7 @@ func benchEnergy(b *testing.B, level int) {
 			for _, id := range []experiments.SchemeID{
 				experiments.Parity1D, experiments.CPPC, experiments.SECDED, experiments.TwoDim,
 			} {
-				s.Runs[p.Name][id] = experiments.Simulate(p, id, bud)
+				s.Runs[p.Name][id] = simulate(b, p, id, bud)
 			}
 		}
 		var out string
@@ -112,7 +121,7 @@ func BenchmarkTable2DirtyStats(b *testing.B) {
 	bud := benchBudget()
 	for i := 0; i < b.N; i++ {
 		for _, p := range benchProfiles() {
-			run := experiments.Simulate(p, experiments.Parity1D, bud)
+			run := simulate(b, p, experiments.Parity1D, bud)
 			if run.L1Gran.Dirty <= 0 {
 				b.Fatalf("%s: no dirty data measured", p.Name)
 			}
@@ -160,9 +169,9 @@ func BenchmarkSpatialCoverage(b *testing.B) {
 		return protect.MustCPPC(c, icore.Config{ParityDegree: 8, RegisterPairs: 2, ByteShifting: true})
 	}
 	for i := 0; i < b.N; i++ {
-		got := fault.RunSpatialTrials(mk, 4, 4, 2, int64(i))
-		if got.Corrected != got.Total() {
-			b.Fatalf("4x4 coverage broken: %v", got)
+		got, err := fault.RunSpatialTrialsCfgCtx(context.Background(), fault.CampaignCacheConfig(), mk, 4, 4, 2, int64(i))
+		if err != nil || got.Corrected != got.Total() {
+			b.Fatalf("4x4 coverage broken: %v (err=%v)", got, err)
 		}
 	}
 }
@@ -290,7 +299,7 @@ func BenchmarkShardedSuite(b *testing.B) {
 func BenchmarkAblationSinglePort(b *testing.B) {
 	bud := benchBudget()
 	for i := 0; i < b.N; i++ {
-		if out, err := experiments.SinglePortAblation(bud); err != nil || out == "" {
+		if out, err := experiments.SinglePortAblation(context.Background(), bud); err != nil || out == "" {
 			b.Fatalf("empty ablation (err=%v)", err)
 		}
 	}
@@ -299,7 +308,7 @@ func BenchmarkAblationSinglePort(b *testing.B) {
 // BenchmarkAblationEarlyWriteback measures the early write-back sweep.
 func BenchmarkAblationEarlyWriteback(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if out, err := experiments.EarlyWritebackAblation(30_000, int64(i)); err != nil || out == "" {
+		if out, err := experiments.EarlyWritebackAblation(context.Background(), 30_000, int64(i)); err != nil || out == "" {
 			b.Fatalf("empty ablation (err=%v)", err)
 		}
 	}
@@ -309,13 +318,13 @@ func BenchmarkAblationEarlyWriteback(b *testing.B) {
 // (the PARMA-style cross-validation).
 func BenchmarkMonteCarloLifetime(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := fault.MonteCarloMTTF(
+		res, err := fault.MonteCarloMTTFCtx(context.Background(),
 			func(c *icache.Cache) protect.Scheme {
 				return protect.MustCPPC(c, icore.DefaultL1Config())
 			},
 			2e-7, 1, 50_000, int64(i))
-		if res.Trials != 1 {
-			b.Fatal("trial did not run")
+		if err != nil || res.Trials != 1 {
+			b.Fatalf("trial did not run (err=%v)", err)
 		}
 	}
 }

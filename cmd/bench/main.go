@@ -111,11 +111,12 @@ var entries = []struct {
 	{"Figure10CPI", func(b *testing.B) {
 		b.ReportAllocs()
 		bud := benchBudget()
+		ctx := context.Background() // never canceled, so SimulateCtx cannot fail
 		for i := 0; i < b.N; i++ {
 			for _, p := range benchProfiles() {
-				base := experiments.Simulate(p, experiments.Parity1D, bud)
-				cp := experiments.Simulate(p, experiments.CPPC, bud)
-				td := experiments.Simulate(p, experiments.TwoDim, bud)
+				base, _ := experiments.SimulateCtx(ctx, p, experiments.Parity1D, bud)
+				cp, _ := experiments.SimulateCtx(ctx, p, experiments.CPPC, bud)
+				td, _ := experiments.SimulateCtx(ctx, p, experiments.TwoDim, bud)
 				if cp.CPI < base.CPI*0.99 || td.CPI < base.CPI*0.99 {
 					panic("CPI ordering broken")
 				}
@@ -267,7 +268,7 @@ var entries = []struct {
 		}
 		bud := experiments.Budget{Warmup: 5_000, Measure: 15_000, Seed: 1}
 		for i := 0; i < b.N; i++ {
-			run, err := experiments.MulticoreCell(p, 2, 0.3, false, bud)
+			run, err := experiments.MulticoreCellCtx(context.Background(), p, 2, 0.3, false, bud)
 			if err != nil || run.CPI <= 0 {
 				panic(fmt.Sprintf("multicore cell broke: cpi=%v err=%v", run.CPI, err))
 			}
@@ -286,7 +287,7 @@ var entries = []struct {
 		}
 		bud := experiments.Budget{Warmup: 5_000, Measure: 15_000, Seed: 1}
 		for i := 0; i < b.N; i++ {
-			run, err := experiments.MulticoreCell(p, 2, 0.3, true, bud)
+			run, err := experiments.MulticoreCellCtx(context.Background(), p, 2, 0.3, true, bud)
 			if err != nil || run.TotalEnergyPJ() <= 0 {
 				panic(fmt.Sprintf("multicore energy cell broke: e=%v err=%v", run.TotalEnergyPJ(), err))
 			}

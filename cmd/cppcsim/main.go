@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -74,7 +75,7 @@ func main() {
 	}
 	budget := experiments.Budget{Warmup: *warmup, Measure: *n, Seed: *seed}
 
-	var run experiments.Run
+	var src trace.Source
 	workload := *bench
 	if *replay != "" {
 		f, err := os.Open(*replay)
@@ -82,21 +83,25 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		src, perr := trace.ParseTrace(f)
+		src, err = trace.ParseTrace(f)
 		f.Close()
-		if perr != nil {
-			fmt.Fprintln(os.Stderr, perr)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		workload = *replay
-		run = experiments.SimulateSource(workload, src, id, budget)
 	} else {
 		prof, ok := trace.ProfileByName(*bench)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "unknown benchmark %q (use -list)\n", *bench)
 			os.Exit(1)
 		}
-		run = experiments.Simulate(prof, id, budget)
+		src = prof.NewMemoGen(*seed)
+	}
+	run, err := experiments.SimulateSourceCtx(context.Background(), workload, src, id, budget)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 
 	t := tables.New(fmt.Sprintf("%s on %s (%d instructions)", *scheme, workload, *n),

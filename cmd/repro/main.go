@@ -72,11 +72,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "repro: interrupted: %v\n", err)
 		os.Exit(1)
 	}
-	checkCtx := func() {
-		if err := ctx.Err(); err != nil {
-			fail(err)
-		}
-	}
 	all := !(*table1 || *fig10 || *fig11 || *fig12 || *table2 || *table3 ||
 		*sec47 || *sec48 || *sec7 || *sec51 || *mc || *fieldmc || *l3 || *coverage || *ablate)
 
@@ -160,7 +155,6 @@ func main() {
 	// trial parallelism").
 	campCtx := experiments.WithCellWorkers(ctx, *parallel)
 	if all || *coverage {
-		checkCtx()
 		fmt.Fprintf(os.Stderr, "running spatial coverage campaigns (%d trials/shape)...\n", *trials)
 		out, err := experiments.SpatialCoverageCtx(campCtx, *trials, *seed)
 		if err != nil {
@@ -169,22 +163,13 @@ func main() {
 		fmt.Println(out)
 	}
 	if all || *ablate {
-		checkCtx()
 		for _, run := range []func() (string, error){
 			func() (string, error) { return experiments.PairAblationCtx(campCtx, *trials, *seed) },
 			func() (string, error) { return experiments.ParityAblationCtx(campCtx, *trials, *seed) },
-		} {
-			out, err := run()
-			if err != nil {
-				fail(err)
-			}
-			fmt.Println(out)
-		}
-		for _, run := range []func() (string, error){
-			func() (string, error) { return experiments.SinglePortAblation(budget) },
-			func() (string, error) { return experiments.EarlyWritebackAblation(200_000, *seed) },
-			func() (string, error) { return experiments.ICacheAblation(budget) },
-			func() (string, error) { return experiments.SilentStoreAblation(budget) },
+			func() (string, error) { return experiments.SinglePortAblation(campCtx, budget) },
+			func() (string, error) { return experiments.EarlyWritebackAblation(campCtx, 200_000, *seed) },
+			func() (string, error) { return experiments.ICacheAblation(campCtx, budget) },
+			func() (string, error) { return experiments.SilentStoreAblation(campCtx, budget) },
 		} {
 			out, err := run()
 			if err != nil {

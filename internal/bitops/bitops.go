@@ -1,7 +1,7 @@
 // Package bitops provides the 64-bit word-level primitives that the CPPC
 // protection machinery is built from: byte rotation (the dataflow of the
 // paper's barrel shifter), interleaved-parity stripe arithmetic, and a few
-// mask/popcount helpers shared by the parity codes and the fault locator.
+// mask helpers shared by the parity codes and the fault locator.
 //
 // All operations are pure functions on uint64 values; the packages above
 // this one decide when to apply them (e.g. data is rotated only on its way
@@ -29,17 +29,6 @@ func RotlBytes(w uint64, n int) uint64 {
 // recovery step 2 ("rotate the result of step 1 in reverse").
 func RotrBytes(w uint64, n int) uint64 {
 	return RotlBytes(w, -n)
-}
-
-// Byte extracts byte i (0 = least significant) of w.
-func Byte(w uint64, i int) byte {
-	return byte(w >> (uint(i&7) * 8))
-}
-
-// SetByte returns w with byte i replaced by b.
-func SetByte(w uint64, i int, b byte) uint64 {
-	sh := uint(i&7) * 8
-	return (w &^ (uint64(0xff) << sh)) | uint64(b)<<sh
 }
 
 // The interleaved-parity kernels below are the hottest code in the
@@ -102,13 +91,9 @@ func StripeMaskRef(p, degree int) uint64 {
 	return m
 }
 
-// StripeParity computes interleaved parity bit p of w for the given degree:
-// the XOR of all bits of w whose index is congruent to p modulo degree.
-func StripeParity(w uint64, p, degree int) uint64 {
-	return (Parity(w, degree) >> uint(p%degree)) & 1
-}
-
-// StripeParityRef is the mask-and-popcount reference for StripeParity.
+// StripeParityRef computes interleaved parity bit p of w for the given
+// degree by mask and popcount: the XOR of all bits of w whose index is
+// congruent to p modulo degree. ParityRef is built from it.
 func StripeParityRef(w uint64, p, degree int) uint64 {
 	return uint64(bits.OnesCount64(w&StripeMaskRef(p, degree)) & 1)
 }
@@ -182,26 +167,3 @@ func OnesPositions(w uint64) []int {
 
 // ByteMask returns the mask covering byte i of a word.
 func ByteMask(i int) uint64 { return uint64(0xff) << (uint(i&7) * 8) }
-
-// NonzeroBytes returns the indices of the bytes of w that contain at least
-// one set bit (the "R3 faulty bytes" of locator step 1, Sec. 4.5).
-func NonzeroBytes(w uint64) []int {
-	var out []int
-	for i := 0; i < WordBytes; i++ {
-		if w&ByteMask(i) != 0 {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// PopCount counts the set bits of w.
-func PopCount(w uint64) int { return bits.OnesCount64(w) }
-
-// BitsInByteColumn returns the mask of bits of a word that live in byte
-// column col after the word has been rotated left by class bytes; i.e. the
-// pre-rotation byte whose contents land in register byte col.
-func BitsInByteColumn(col, class int) uint64 {
-	src := ((col-class)%WordBytes + WordBytes) % WordBytes
-	return ByteMask(src)
-}

@@ -56,28 +56,6 @@ func TestRotlDistributesOverXOR(t *testing.T) {
 	}
 }
 
-func TestByteAndSetByte(t *testing.T) {
-	w := uint64(0x0102030405060708)
-	for i := 0; i < 8; i++ {
-		want := byte(8 - i)
-		if got := Byte(w, i); got != want {
-			t.Errorf("Byte(%#x, %d) = %#x, want %#x", w, i, got, want)
-		}
-	}
-	w2 := SetByte(w, 3, 0xaa)
-	if Byte(w2, 3) != 0xaa {
-		t.Errorf("SetByte failed: got %#x", w2)
-	}
-	for i := 0; i < 8; i++ {
-		if i == 3 {
-			continue
-		}
-		if Byte(w2, i) != Byte(w, i) {
-			t.Errorf("SetByte disturbed byte %d", i)
-		}
-	}
-}
-
 func TestStripeMask(t *testing.T) {
 	// Degree 8, stripe 0 covers bits 0, 8, ..., 56.
 	want := uint64(0x0101010101010101)
@@ -177,44 +155,5 @@ func TestOnesPositions(t *testing.T) {
 	}
 	if len(OnesPositions(0)) != 0 {
 		t.Fatal("OnesPositions(0) not empty")
-	}
-}
-
-func TestNonzeroBytes(t *testing.T) {
-	w := uint64(0xff) | uint64(0x01)<<56
-	got := NonzeroBytes(w)
-	if len(got) != 2 || got[0] != 0 || got[1] != 7 {
-		t.Fatalf("NonzeroBytes = %v", got)
-	}
-}
-
-func TestBitsInByteColumn(t *testing.T) {
-	// With class 0 (no rotation), register byte col receives cache byte col.
-	for col := 0; col < 8; col++ {
-		if BitsInByteColumn(col, 0) != ByteMask(col) {
-			t.Errorf("class 0, col %d wrong", col)
-		}
-	}
-	// With class 1, register byte 1 receives cache byte 0.
-	if BitsInByteColumn(1, 1) != ByteMask(0) {
-		t.Error("class 1, col 1 should map from byte 0")
-	}
-	// Wraparound: register byte 0 with class 1 receives cache byte 7.
-	if BitsInByteColumn(0, 1) != ByteMask(7) {
-		t.Error("class 1, col 0 should map from byte 7")
-	}
-}
-
-func TestBitsInByteColumnMatchesRotation(t *testing.T) {
-	f := func(w uint64, colRaw, classRaw uint8) bool {
-		col := int(colRaw % 8)
-		class := int(classRaw % 8)
-		rot := RotlBytes(w, class)
-		// The bits of rot in byte col came from the source byte mask.
-		src := BitsInByteColumn(col, class)
-		return RotlBytes(w&src, class) == rot&ByteMask(col)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

@@ -11,7 +11,7 @@ package bitops
 // two-level tree.
 //
 // The single-accumulator loops are kept as reference oracles
-// (FoldLineRef, FoldLineDeltaRef, FoldLineParityRef, FoldLineStripeRef);
+// (FoldLineRef, FoldLineDeltaRef, FoldLineParityRef);
 // fold_test.go holds the kernels to them bit for bit, exhaustively over
 // line lengths and under fuzzing.
 
@@ -88,20 +88,6 @@ func FoldLineParityRef(line []uint64, degree int) uint64 {
 	var out uint64
 	for _, w := range line {
 		out ^= ParityRef(w, degree)
-	}
-	return out
-}
-
-// FoldLineStripe computes interleaved parity stripe p of a whole line.
-func FoldLineStripe(line []uint64, p, degree int) uint64 {
-	return (FoldLineParity(line, degree) >> uint(p%degree)) & 1
-}
-
-// FoldLineStripeRef is the masked-popcount reference for FoldLineStripe.
-func FoldLineStripeRef(line []uint64, p, degree int) uint64 {
-	var out uint64
-	for _, w := range line {
-		out ^= StripeParityRef(w, p, degree)
 	}
 	return out
 }

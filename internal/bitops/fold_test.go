@@ -72,20 +72,6 @@ func TestFoldLineParityMatchesRef(t *testing.T) {
 	}
 }
 
-// TestFoldLineStripeMatchesRef covers every (stripe, degree) pair over
-// the corpus.
-func TestFoldLineStripeMatchesRef(t *testing.T) {
-	for _, ln := range foldTestLines() {
-		for _, d := range validDegrees {
-			for p := 0; p < d; p++ {
-				if got, want := FoldLineStripe(ln, p, d), FoldLineStripeRef(ln, p, d); got != want {
-					t.Fatalf("FoldLineStripe(len=%d, %d, %d) = %#x, ref %#x", len(ln), p, d, got, want)
-				}
-			}
-		}
-	}
-}
-
 // FuzzFoldLine cross-checks all fold kernels against their oracles on
 // fuzzer-chosen byte strings (interpreted as little-endian words; the
 // remainder bytes vary the line length across all unroll tails).
@@ -113,11 +99,6 @@ func FuzzFoldLine(f *testing.F) {
 		}
 		if got, want := FoldLineParity(line, d), FoldLineParityRef(line, d); got != want {
 			t.Fatalf("FoldLineParity(%d) = %#x, ref %#x", d, got, want)
-		}
-		for p := 0; p < d; p++ {
-			if got, want := FoldLineStripe(line, p, d), FoldLineStripeRef(line, p, d); got != want {
-				t.Fatalf("FoldLineStripe(%d, %d) = %#x, ref %#x", p, d, got, want)
-			}
 		}
 	})
 }

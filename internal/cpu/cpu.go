@@ -307,13 +307,6 @@ func (c *Core) Release() {
 	c.done, c.lsqRing = nil, nil
 }
 
-// Run executes n instructions from src (a synthetic generator or a
-// recorded trace) and returns timing results.
-func (c *Core) Run(src trace.Source, n int) Result {
-	res, _ := c.RunCtx(context.Background(), src, n)
-	return res
-}
-
 // Ring index helpers: a mask when the ring length is a power of two, a
 // division otherwise.
 func (c *Core) doneIdx(i uint64) uint64 {
@@ -335,7 +328,8 @@ func (c *Core) lsqIdx(i uint64) uint64 {
 // enough that multi-million-instruction runs abort within microseconds.
 const cancelPollInstrs = 4096
 
-// RunCtx is Run with cooperative cancellation: the context is polled
+// RunCtx executes n instructions from src (a synthetic generator or a
+// recorded trace) and returns timing results. The context is polled
 // every few thousand instructions, and on cancellation the partial
 // result accumulated so far is returned alongside the context's error.
 func (c *Core) RunCtx(ctx context.Context, src trace.Source, n int) (Result, error) {

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"context"
 	"testing"
 
 	"cppc/internal/core"
@@ -14,6 +15,25 @@ func gzipProfile() trace.Profile {
 		panic("gzip profile missing")
 	}
 	return p
+}
+
+// run executes n instructions of src on c, failing t on error.
+func run(t *testing.T, c *Core, src trace.Source, n int) Result {
+	t.Helper()
+	res, err := c.RunCtx(context.Background(), src, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// runBenchmark executes n instructions of prof on a fresh Table 1 core
+// over sys. The system's controllers accumulate the cache statistics.
+func runBenchmark(t *testing.T, prof trace.Profile, n int, seed int64, sys *System) Result {
+	t.Helper()
+	c := NewCoreWithPort(Table1Config(), sys.Port())
+	defer c.Release()
+	return run(t, c, prof.NewGen(seed), n)
 }
 
 func TestTable1Config(t *testing.T) {
@@ -70,7 +90,7 @@ func TestPortReserveAndSteal(t *testing.T) {
 
 func TestCPIGreaterThanIdeal(t *testing.T) {
 	sys := NewSystem(Parity1DFactory(), Parity1DFactory())
-	res := RunBenchmark(gzipProfile(), 100000, 1, sys)
+	res := runBenchmark(t, gzipProfile(), 100000, 1, sys)
 	if res.Instructions != 100000 {
 		t.Fatalf("instructions = %d", res.Instructions)
 	}
@@ -85,8 +105,8 @@ func TestCPIGreaterThanIdeal(t *testing.T) {
 }
 
 func TestCPIDeterministic(t *testing.T) {
-	a := RunBenchmark(gzipProfile(), 50000, 1, NewSystem(Parity1DFactory(), Parity1DFactory()))
-	b := RunBenchmark(gzipProfile(), 50000, 1, NewSystem(Parity1DFactory(), Parity1DFactory()))
+	a := runBenchmark(t, gzipProfile(), 50000, 1, NewSystem(Parity1DFactory(), Parity1DFactory()))
+	b := runBenchmark(t, gzipProfile(), 50000, 1, NewSystem(Parity1DFactory(), Parity1DFactory()))
 	if a.CPI != b.CPI || a.Cycles != b.Cycles {
 		t.Fatalf("non-deterministic: %+v vs %+v", a, b)
 	}
@@ -97,9 +117,9 @@ func TestCPIDeterministic(t *testing.T) {
 // parity costs at least as much as CPPC.
 func TestFigure10Ordering(t *testing.T) {
 	const n = 300000
-	base := RunBenchmark(gzipProfile(), n, 1, NewSystem(Parity1DFactory(), Parity1DFactory()))
-	cppc := RunBenchmark(gzipProfile(), n, 1, NewSystem(CPPCFactory(core.DefaultL1Config()), Parity1DFactory()))
-	twod := RunBenchmark(gzipProfile(), n, 1, NewSystem(TwoDimFactory(), Parity1DFactory()))
+	base := runBenchmark(t, gzipProfile(), n, 1, NewSystem(Parity1DFactory(), Parity1DFactory()))
+	cppc := runBenchmark(t, gzipProfile(), n, 1, NewSystem(CPPCFactory(core.DefaultL1Config()), Parity1DFactory()))
+	twod := runBenchmark(t, gzipProfile(), n, 1, NewSystem(TwoDimFactory(), Parity1DFactory()))
 
 	if cppc.CPI < base.CPI*0.999 {
 		t.Errorf("CPPC CPI %.4f below parity baseline %.4f", cppc.CPI, base.CPI)
@@ -116,7 +136,7 @@ func TestFigure10Ordering(t *testing.T) {
 
 func TestL2SeesTraffic(t *testing.T) {
 	sys := NewSystem(Parity1DFactory(), Parity1DFactory())
-	RunBenchmark(gzipProfile(), 100000, 1, sys)
+	runBenchmark(t, gzipProfile(), 100000, 1, sys)
 	if sys.L2().Stats.Accesses() == 0 {
 		t.Fatal("no L2 traffic")
 	}
@@ -128,10 +148,10 @@ func TestL2SeesTraffic(t *testing.T) {
 func TestMcfMissesHard(t *testing.T) {
 	mcf, _ := trace.ProfileByName("mcf")
 	sys := NewSystem(Parity1DFactory(), Parity1DFactory())
-	RunBenchmark(mcf, 200000, 1, sys)
+	runBenchmark(t, mcf, 200000, 1, sys)
 	easy := NewSystem(Parity1DFactory(), Parity1DFactory())
 	eon, _ := trace.ProfileByName("eon")
-	RunBenchmark(eon, 200000, 1, easy)
+	runBenchmark(t, eon, 200000, 1, easy)
 	if sys.L1().Stats.MissRate() <= easy.L1().Stats.MissRate() {
 		t.Errorf("mcf L1 miss rate %.3f not above eon %.3f",
 			sys.L1().Stats.MissRate(), easy.L1().Stats.MissRate())
@@ -145,9 +165,9 @@ func TestMcfMissesHard(t *testing.T) {
 func TestBranchPenaltySlowsDown(t *testing.T) {
 	p := gzipProfile()
 	p.BranchMispredictRate = 0
-	fast := RunBenchmark(p, 100000, 1, NewSystem(Parity1DFactory(), Parity1DFactory()))
+	fast := runBenchmark(t, p, 100000, 1, NewSystem(Parity1DFactory(), Parity1DFactory()))
 	p.BranchMispredictRate = 0.3
-	slow := RunBenchmark(p, 100000, 1, NewSystem(Parity1DFactory(), Parity1DFactory()))
+	slow := runBenchmark(t, p, 100000, 1, NewSystem(Parity1DFactory(), Parity1DFactory()))
 	if slow.CPI <= fast.CPI {
 		t.Errorf("mispredictions did not slow the core: %.3f vs %.3f", slow.CPI, fast.CPI)
 	}
@@ -168,13 +188,13 @@ func TestICacheModeling(t *testing.T) {
 	// Without the I-cache.
 	sysA := NewSystem(Parity1DFactory(), Parity1DFactory())
 	coreA := NewCoreWithPort(Table1Config(), sysA.Port())
-	base := coreA.Run(p.NewGen(1), 100000)
+	base := run(t, coreA, p.NewGen(1), 100000)
 
 	// With a 16KB L1I over a 64KB code footprint: extra front-end stalls.
 	sysB := NewSystem(Parity1DFactory(), Parity1DFactory())
 	coreB := NewCoreWithPort(Table1Config(), sysB.Port())
 	coreB.SetICache(sysB.L1I, 64<<10)
-	with := coreB.Run(p.NewGen(1), 100000)
+	with := run(t, coreB, p.NewGen(1), 100000)
 
 	if sysB.L1I.Stats.Accesses() == 0 {
 		t.Fatal("L1I never accessed")
@@ -198,7 +218,7 @@ func TestHaltTruncatesInstructionCount(t *testing.T) {
 	defer sys.Release()
 	core := NewCoreWithPort(Table1Config(), sys.Port())
 	p := gzipProfile()
-	core.Run(p.NewGen(1), 50000) // dirty a working set
+	run(t, core, p.NewGen(1), 50000) // dirty a working set
 
 	// Corrupt every resident dirty word: under parity-1d a dirty fault is
 	// uncorrectable, so the first load to any of them raises a DUE.
@@ -223,7 +243,7 @@ func TestHaltTruncatesInstructionCount(t *testing.T) {
 	}
 
 	const n = 200000
-	res := core.Run(p.NewGen(2), n)
+	res := run(t, core, p.NewGen(2), n)
 	if !res.Halted {
 		t.Fatal("machine did not halt on an uncorrectable dirty fault")
 	}
@@ -255,21 +275,26 @@ func TestWarmupFoldInvariance(t *testing.T) {
 	mk := func() *System {
 		return NewSystem(CPPCFactory(core.DefaultL1Config()), CPPCFactory(core.DefaultL2Config()))
 	}
+	runWarm := func(src trace.Source, warmup, measure int, sys *System) {
+		if _, err := RunSourceWarmCtx(context.Background(), src, warmup, measure, sys); err != nil {
+			t.Fatal(err)
+		}
+	}
 	p := gzipProfile()
 
 	sysA := mk()
 	defer sysA.Release()
-	RunSourceWarm(p.NewGen(1), warm, meas, sysA)
+	runWarm(p.NewGen(1), warm, meas, sysA)
 	foldsA := folds(sysA)
 
 	// Same stream, warmup played as a throwaway measurement: the second
-	// RunSourceWarm resets at its (empty) warmup boundary and measures the
+	// run resets at its (empty) warmup boundary and measures the
 	// identical post-warmup instructions.
 	sysB := mk()
 	defer sysB.Release()
 	gen := p.NewGen(1)
-	RunSourceWarm(gen, 0, warm, sysB)
-	RunSourceWarm(gen, 0, meas, sysB)
+	runWarm(gen, 0, warm, sysB)
+	runWarm(gen, 0, meas, sysB)
 	foldsB := folds(sysB)
 
 	if foldsA == 0 {
@@ -287,7 +312,7 @@ func TestICacheFaultsAlwaysRecoverable(t *testing.T) {
 	sys := NewSystem(Parity1DFactory(), Parity1DFactory())
 	core := NewCoreWithPort(Table1Config(), sys.Port())
 	core.SetICache(sys.L1I, 64<<10)
-	core.Run(gzipProfile().NewGen(2), 50000)
+	run(t, core, gzipProfile().NewGen(2), 50000)
 
 	// Strike a few resident instruction words directly.
 	n := 0
@@ -297,7 +322,7 @@ func TestICacheFaultsAlwaysRecoverable(t *testing.T) {
 			n++
 		}
 	}
-	core.Run(gzipProfile().NewGen(3), 50000)
+	run(t, core, gzipProfile().NewGen(3), 50000)
 	if sys.L1I.Halted {
 		t.Fatal("instruction cache fault was fatal")
 	}

@@ -79,12 +79,6 @@ type MulticoreResult struct {
 	Halted       bool    // a DUE stopped some core (the cluster stops with it)
 }
 
-// Run is RunCtx without cancellation.
-func (cl *Cluster) Run(n, quantum int) MulticoreResult {
-	res, _ := cl.RunCtx(context.Background(), n, quantum)
-	return res
-}
-
 // privateHierarchy reports whether every core's port declares its
 // hierarchy core-private (see PrivateMemory). Absence of the marker
 // means shared — the conservative default.

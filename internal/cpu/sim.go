@@ -116,27 +116,10 @@ func (sys *System) ResetStats() {
 	}
 }
 
-// RunBenchmark executes n instructions of a benchmark profile on the
-// Table 1 processor with the given memory system, returning the timing
-// result. The system's controllers accumulate cache statistics for the
-// energy and reliability models.
-func RunBenchmark(prof trace.Profile, n int, seed int64, sys *System) Result {
-	core := NewCoreWithPort(Table1Config(), sys.Port())
-	defer core.Release()
-	return core.Run(prof.NewGen(seed), n)
-}
-
-// RunSourceWarm runs `warmup` instructions of src to fill the caches
+// RunSourceWarmCtx runs `warmup` instructions of src to fill the caches
 // (the SimPoint warm-up the paper's methodology implies), resets all
-// statistics, then measures `measure` instructions.
-func RunSourceWarm(src trace.Source, warmup, measure int, sys *System) Result {
-	res, _ := RunSourceWarmCtx(context.Background(), src, warmup, measure, sys)
-	return res
-}
-
-// RunSourceWarmCtx is RunSourceWarm with cooperative cancellation. On
-// cancellation the partial measurement is discarded and the context's
-// error returned.
+// statistics, then measures `measure` instructions. On cancellation the
+// partial measurement is discarded and the context's error returned.
 func RunSourceWarmCtx(ctx context.Context, src trace.Source, warmup, measure int, sys *System) (Result, error) {
 	core := NewCoreWithPort(Table1Config(), sys.Port())
 	defer core.Release()
@@ -149,7 +132,7 @@ func RunSourceWarmCtx(ctx context.Context, src trace.Source, warmup, measure int
 	if err != nil {
 		return Result{}, err
 	}
-	// core.Run returns cumulative cycles; subtract the warm-up portion.
+	// core.RunCtx returns cumulative cycles; subtract the warm-up portion.
 	m.Cycles -= w.Cycles
 	m.CPI = float64(m.Cycles) / float64(m.Instructions)
 	return m, nil

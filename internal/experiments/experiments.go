@@ -112,28 +112,16 @@ func (r Run) Energy() (l1, l2 energy.Report) {
 	return l1, l2
 }
 
-// Simulate runs one benchmark under one scheme and collects everything
-// the figures need.
-func Simulate(prof trace.Profile, id SchemeID, b Budget) Run {
-	r, _ := SimulateCtx(context.Background(), prof, id, b)
-	return r
-}
-
-// SimulateCtx is Simulate with cooperative cancellation: the context is
-// polled inside the instruction loop, so even a multi-million-instruction
-// cell aborts promptly.
+// SimulateCtx runs one benchmark under one scheme and collects
+// everything the figures need. The context is polled inside the
+// instruction loop, so even a multi-million-instruction cell aborts
+// promptly.
 func SimulateCtx(ctx context.Context, prof trace.Profile, id SchemeID, b Budget) (Run, error) {
 	return SimulateSourceCtx(ctx, prof.Name, prof.NewMemoGen(b.Seed), id, b)
 }
 
-// SimulateSource is Simulate over any instruction source, e.g. a recorded
-// trace file.
-func SimulateSource(name string, src trace.Source, id SchemeID, b Budget) Run {
-	r, _ := SimulateSourceCtx(context.Background(), name, src, id, b)
-	return r
-}
-
-// SimulateSourceCtx is SimulateSource with cooperative cancellation.
+// SimulateSourceCtx is SimulateCtx over any instruction source, e.g. a
+// recorded trace file.
 func SimulateSourceCtx(ctx context.Context, name string, src trace.Source, id SchemeID, b Budget) (Run, error) {
 	l1f, l2f := schemeFactories(id)
 	sys := cpu.NewSystem(l1f, l2f)

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -13,6 +14,16 @@ import (
 // tiny budget keeps the test suite fast while still exercising the full
 // pipeline end to end.
 func tinyBudget() Budget { return Budget{Warmup: 40_000, Measure: 80_000, Seed: 1} }
+
+// simulate is SimulateCtx without cancellation, failing t on error.
+func simulate(t *testing.T, p trace.Profile, id SchemeID, b Budget) Run {
+	t.Helper()
+	r, err := SimulateCtx(context.Background(), p, id, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
 
 func tinySuite(t *testing.T) *Suite {
 	t.Helper()
@@ -28,7 +39,7 @@ func tinySuite(t *testing.T) *Suite {
 		s.Order = append(s.Order, name)
 		s.Runs[name] = map[SchemeID]Run{}
 		for _, id := range []SchemeID{Parity1D, CPPC, SECDED, TwoDim} {
-			s.Runs[name][id] = Simulate(p, id, b)
+			s.Runs[name][id] = simulate(t, p, id, b)
 		}
 	}
 	return s
@@ -170,7 +181,10 @@ func TestSpatialCoverageReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Monte-Carlo campaign")
 	}
-	out := SpatialCoverage(3, 5)
+	out, err := SpatialCoverageCtx(context.Background(), 3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, want := range []string{"cppc 1 pair", "cppc 8 pairs", "secded", "parity-1d"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("coverage report missing %q", want)
@@ -182,13 +196,13 @@ func TestAblations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Monte-Carlo campaign")
 	}
-	pa := PairAblation(4, 7)
-	if !strings.Contains(pa, "8") {
-		t.Error("pair ablation missing rows")
+	pa, err := PairAblationCtx(context.Background(), 4, 7)
+	if err != nil || !strings.Contains(pa, "8") {
+		t.Errorf("pair ablation missing rows (err=%v)", err)
 	}
-	pd := ParityAblation(4, 7)
-	if !strings.Contains(pd, "degree") {
-		t.Error("parity ablation missing header")
+	pd, err := ParityAblationCtx(context.Background(), 4, 7)
+	if err != nil || !strings.Contains(pd, "degree") {
+		t.Errorf("parity ablation missing header (err=%v)", err)
 	}
 }
 
@@ -226,11 +240,11 @@ func TestMulticoreCellDeterminism(t *testing.T) {
 		t.Fatal("gzip profile missing")
 	}
 	b := Budget{Warmup: 5_000, Measure: 15_000, Seed: 9}
-	r1, err := MulticoreCell(p, 2, 0.5, false, b)
+	r1, err := MulticoreCellCtx(context.Background(), p, 2, 0.5, false, b)
 	if err != nil {
 		t.Fatalf("first run: %v", err)
 	}
-	r2, err := MulticoreCell(p, 2, 0.5, false, b)
+	r2, err := MulticoreCellCtx(context.Background(), p, 2, 0.5, false, b)
 	if err != nil {
 		t.Fatalf("second run: %v", err)
 	}
@@ -249,7 +263,7 @@ func TestSinglePortAblationReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing ablation")
 	}
-	out, err := SinglePortAblation(tinyBudget())
+	out, err := SinglePortAblation(context.Background(), tinyBudget())
 	if err != nil {
 		t.Fatalf("SinglePortAblation: %v", err)
 	}
@@ -260,11 +274,28 @@ func TestSinglePortAblationReport(t *testing.T) {
 	}
 }
 
+// TestAblationsCanceled: every timing ablation stops on its context, so
+// repro's -timeout and SIGINT can interrupt them.
+func TestAblationsCanceled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, run := range map[string]func() (string, error){
+		"single-port":     func() (string, error) { return SinglePortAblation(ctx, tinyBudget()) },
+		"early-writeback": func() (string, error) { return EarlyWritebackAblation(ctx, 30_000, 3) },
+		"icache":          func() (string, error) { return ICacheAblation(ctx, tinyBudget()) },
+		"silent-store":    func() (string, error) { return SilentStoreAblation(ctx, tinyBudget()) },
+	} {
+		if _, err := run(); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s ablation under a canceled context: err = %v, want context.Canceled", name, err)
+		}
+	}
+}
+
 func TestEarlyWritebackAblationReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("policy ablation")
 	}
-	out, err := EarlyWritebackAblation(30_000, 3)
+	out, err := EarlyWritebackAblation(context.Background(), 30_000, 3)
 	if err != nil {
 		t.Fatalf("EarlyWritebackAblation: %v", err)
 	}

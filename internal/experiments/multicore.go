@@ -65,14 +65,9 @@ func (r MulticoreRun) TotalEnergyPJ() float64 {
 	return r.EnergyL1.Total() + r.EnergyL2.Total() + r.EnergyBus.Total()
 }
 
-// MulticoreCell runs one (profile, cores, sharedFrac) cell; silent
-// selects the cppc-silent variant in both cache levels.
-func MulticoreCell(prof trace.Profile, cores int, sharedFrac float64, silent bool, b Budget) (MulticoreRun, error) {
-	return MulticoreCellCtx(context.Background(), prof, cores, sharedFrac, silent, b)
-}
-
-// MulticoreCellCtx is MulticoreCell with cooperative cancellation. The
-// run is deterministic for a given (profile, cores, sharedFrac, silent,
+// MulticoreCellCtx runs one (profile, cores, sharedFrac) cell; silent
+// selects the cppc-silent variant in both cache levels. The run is
+// deterministic for a given (profile, cores, sharedFrac, silent,
 // budget): per-core trace seeds derive from b.Seed and the lock-step
 // order is fixed.
 func MulticoreCellCtx(ctx context.Context, prof trace.Profile, cores int, sharedFrac float64, silent bool, b Budget) (MulticoreRun, error) {

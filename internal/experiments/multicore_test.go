@@ -73,7 +73,7 @@ func TestMulticoreWarmupFoldInvariance(t *testing.T) {
 		t.Fatal("warmup produced no folds; the invariance check is vacuous")
 	}
 
-	run, err := MulticoreCell(p, cores, sf, false, Budget{Warmup: warm, Measure: meas, Seed: 1})
+	run, err := MulticoreCellCtx(context.Background(), p, cores, sf, false, Budget{Warmup: warm, Measure: meas, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,11 +117,11 @@ func TestMulticoreSilentElision(t *testing.T) {
 		t.Fatal("gzip profile missing")
 	}
 	b := Budget{Warmup: 5_000, Measure: 15_000, Seed: 3}
-	plain, err := MulticoreCell(p, 2, 0.3, false, b)
+	plain, err := MulticoreCellCtx(context.Background(), p, 2, 0.3, false, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	silent, err := MulticoreCell(p, 2, 0.3, true, b)
+	silent, err := MulticoreCellCtx(context.Background(), p, 2, 0.3, true, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,11 +167,11 @@ func TestMulticoreSilentDeterminism(t *testing.T) {
 		t.Fatal("gzip profile missing")
 	}
 	b := Budget{Warmup: 5_000, Measure: 15_000, Seed: 9}
-	r1, err := MulticoreCell(p, 2, 0.5, true, b)
+	r1, err := MulticoreCellCtx(context.Background(), p, 2, 0.5, true, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := MulticoreCell(p, 2, 0.5, true, b)
+	r2, err := MulticoreCellCtx(context.Background(), p, 2, 0.5, true, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestSilentStoreAblationReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timed ablation")
 	}
-	out, err := SilentStoreAblation(Budget{Warmup: 5_000, Measure: 15_000, Seed: 1})
+	out, err := SilentStoreAblation(context.Background(), Budget{Warmup: 5_000, Measure: 15_000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"context"
 	"testing"
 
 	"cppc/internal/cache"
@@ -24,6 +25,28 @@ func twodimFactory() SchemeFactory {
 	return func(c *cache.Cache) protect.Scheme { return protect.NewTwoDim(c, 8) }
 }
 
+// spatialTrials is RunSpatialTrialsCfgCtx without cancellation, failing
+// t on error.
+func spatialTrials(t *testing.T, ccfg cache.Config, mk SchemeFactory, h, w, trials int, seed int64) Counts {
+	t.Helper()
+	got, err := RunSpatialTrialsCfgCtx(context.Background(), ccfg, mk, h, w, trials, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// temporalTrials is RunTemporalTrialsCtx without cancellation, failing t
+// on error.
+func temporalTrials(t *testing.T, mk SchemeFactory, bits, trials int, seed int64) Counts {
+	t.Helper()
+	got, err := RunTemporalTrialsCtx(context.Background(), mk, bits, trials, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
 func TestOutcomeStrings(t *testing.T) {
 	if Corrected.String() != "corrected" || DUE.String() != "DUE" ||
 		SDC.String() != "SDC" || Outcome(9).String() != "unknown" {
@@ -33,7 +56,7 @@ func TestOutcomeStrings(t *testing.T) {
 
 func TestNoFaultMeansCorrected(t *testing.T) {
 	for _, mk := range []SchemeFactory{parityFactory(), secdedFactory(), twodimFactory(), cppcFactory(core.DefaultL1Config())} {
-		c := cache.New(campaignCacheConfig())
+		c := cache.New(CampaignCacheConfig())
 		mem := cache.NewMemory(32, 100)
 		ct := protect.NewController(c, mk(c), mem)
 		camp := New(ct, mem, 1)
@@ -47,16 +70,16 @@ func TestNoFaultMeansCorrected(t *testing.T) {
 func TestSingleBitCoverage(t *testing.T) {
 	const trials = 40
 	// CPPC corrects every temporal single-bit fault.
-	if got := RunTemporalTrials(cppcFactory(core.DefaultL1Config()), 1, trials, 7); got.Corrected != trials {
+	if got := temporalTrials(t, cppcFactory(core.DefaultL1Config()), 1, trials, 7); got.Corrected != trials {
 		t.Errorf("CPPC single-bit: %v", got)
 	}
 	// SECDED too.
-	if got := RunTemporalTrials(secdedFactory(), 1, trials, 7); got.Corrected != trials {
+	if got := temporalTrials(t, secdedFactory(), 1, trials, 7); got.Corrected != trials {
 		t.Errorf("SECDED single-bit: %v", got)
 	}
 	// 1D parity survives only faults in clean data; with a mixed workload
 	// a good share must be DUEs and none silent.
-	got := RunTemporalTrials(parityFactory(), 1, trials, 7)
+	got := temporalTrials(t, parityFactory(), 1, trials, 7)
 	if got.SDC != 0 {
 		t.Errorf("parity produced SDC: %v", got)
 	}
@@ -70,7 +93,7 @@ func TestSpatialCoverageCPPCOnePair(t *testing.T) {
 	// small squares corrects; note 1x1 through 4x4 here for runtime.
 	mk := cppcFactory(core.DefaultL1Config())
 	for _, shape := range [][2]int{{1, 1}, {2, 2}, {3, 3}, {4, 4}, {1, 8}, {4, 1}} {
-		got := RunSpatialTrials(mk, shape[0], shape[1], 15, 11)
+		got := spatialTrials(t, CampaignCacheConfig(), mk, shape[0], shape[1], 15, 11)
 		if got.Corrected != got.Total() {
 			t.Errorf("%dx%d: %v", shape[0], shape[1], got)
 		}
@@ -80,14 +103,14 @@ func TestSpatialCoverageCPPCOnePair(t *testing.T) {
 func TestSpatial8x8NeedsTwoPairs(t *testing.T) {
 	// Sec. 4.6: full 8x8 squares are not correctable with one pair but are
 	// with two.
-	one := RunSpatialTrials(cppcFactory(core.DefaultL1Config()), 8, 8, 10, 13)
+	one := spatialTrials(t, CampaignCacheConfig(), cppcFactory(core.DefaultL1Config()), 8, 8, 10, 13)
 	if one.DUE == 0 {
 		t.Errorf("one pair corrected all 8x8 squares: %v", one)
 	}
 	if one.SDC != 0 {
 		t.Errorf("one pair silently corrupted: %v", one)
 	}
-	two := RunSpatialTrials(cppcFactory(core.Config{ParityDegree: 8, RegisterPairs: 2, ByteShifting: true}), 8, 8, 10, 13)
+	two := spatialTrials(t, CampaignCacheConfig(), cppcFactory(core.Config{ParityDegree: 8, RegisterPairs: 2, ByteShifting: true}), 8, 8, 10, 13)
 	if two.Corrected != two.Total() {
 		t.Errorf("two pairs: %v", two)
 	}
@@ -95,7 +118,7 @@ func TestSpatial8x8NeedsTwoPairs(t *testing.T) {
 
 func TestSpatialEightPairsNoShifting(t *testing.T) {
 	// Sec. 4.11: eight pairs without byte shifting correct all 8x8 faults.
-	got := RunSpatialTrials(cppcFactory(core.FullCorrectionConfig()), 8, 8, 10, 17)
+	got := spatialTrials(t, CampaignCacheConfig(), cppcFactory(core.FullCorrectionConfig()), 8, 8, 10, 17)
 	if got.Corrected != got.Total() {
 		t.Errorf("8 pairs: %v", got)
 	}
@@ -105,7 +128,7 @@ func TestBasicCPPCFailsVerticalSpatial(t *testing.T) {
 	// Sec. 4.2: without byte shifting (and only one pair), vertical
 	// multi-bit faults are unrecoverable — but never silent.
 	mk := cppcFactory(core.Config{ParityDegree: 8, RegisterPairs: 1, ByteShifting: false})
-	got := RunSpatialTrials(mk, 2, 1, 30, 19)
+	got := spatialTrials(t, CampaignCacheConfig(), mk, 2, 1, 30, 19)
 	if got.DUE == 0 {
 		t.Errorf("basic CPPC corrected vertical 2x1 faults: %v", got)
 	}
@@ -119,14 +142,14 @@ func TestSECDEDSpatialWithInterleaving(t *testing.T) {
 	// configuration), any burst up to 8 columns wide spreads into at most
 	// one bit per word — fully correctable, including the 8x8 square.
 	for _, shape := range [][2]int{{1, 8}, {4, 4}, {8, 8}} {
-		got := RunSpatialTrialsInterleaved(secdedFactory(), shape[0], shape[1], 15, 23)
+		got := spatialTrials(t, InterleavedCampaignConfig(), secdedFactory(), shape[0], shape[1], 15, 23)
 		if got.Corrected != got.Total() {
 			t.Errorf("interleaved SECDED %dx%d: %v", shape[0], shape[1], got)
 		}
 	}
 	// Without interleaving, two horizontally adjacent bits land in the
 	// same codeword and defeat SECDED on dirty data.
-	got := RunSpatialTrials(secdedFactory(), 1, 2, 40, 23)
+	got := spatialTrials(t, CampaignCacheConfig(), secdedFactory(), 1, 2, 40, 23)
 	if got.DUE == 0 {
 		t.Errorf("contiguous SECDED never DUEd on 2-bit horizontal: %v", got)
 	}
@@ -135,7 +158,7 @@ func TestSECDEDSpatialWithInterleaving(t *testing.T) {
 func TestAliasingSDCReproduced(t *testing.T) {
 	// Sec. 4.7: craft the aliasing pair — bit 56 of a class-0 dirty word
 	// and bit 8 of the class-1 word directly below — and observe the SDC.
-	c := cache.New(campaignCacheConfig())
+	c := cache.New(CampaignCacheConfig())
 	mem := cache.NewMemory(32, 100)
 	ct := protect.NewController(c, protect.MustCPPC(c, core.DefaultL1Config()), mem)
 	camp := New(ct, mem, 29)
@@ -173,7 +196,11 @@ func TestGoldenCopyWrittenFlag(t *testing.T) {
 }
 
 func TestCoverageMatrixShape(t *testing.T) {
-	m := CoverageMatrix(cppcFactory(core.Config{ParityDegree: 8, RegisterPairs: 2, ByteShifting: true}), 3, 4, 31)
+	m, err := CoverageMatrixCfgCtx(context.Background(), CampaignCacheConfig(),
+		cppcFactory(core.Config{ParityDegree: 8, RegisterPairs: 2, ByteShifting: true}), 3, 4, 31)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(m) != 3 || len(m[0]) != 3 {
 		t.Fatalf("matrix shape %dx%d", len(m), len(m[0]))
 	}

@@ -1,12 +1,24 @@
 package fault
 
 import (
+	"context"
 	"testing"
 
 	"cppc/internal/cache"
 	"cppc/internal/core"
 	"cppc/internal/protect"
 )
+
+// modelTrials is RunModelTrialsCtx over the campaign layout without
+// cancellation, failing t on error.
+func modelTrials(t *testing.T, mk SchemeFactory, m Model, faults, trials int, seed int64) Counts {
+	t.Helper()
+	got, err := RunModelTrialsCtx(context.Background(), CampaignCacheConfig(), mk, m, faults, trials, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
 
 // TestModelParseRoundTrip pins the string forms the fieldmc grid and
 // the job API use as canonical cell keys.
@@ -40,14 +52,14 @@ func TestModelParseRoundTrip(t *testing.T) {
 // different seed must drive a genuinely different fault sequence.
 func TestModelTrialsDeterministic(t *testing.T) {
 	m := Model{Foot: FootWord, Life: Intermittent, Reassert: 0.3}
-	a := RunModelTrials(parityFactory(), m, 2, 12, 7)
-	b := RunModelTrials(parityFactory(), m, 2, 12, 7)
+	a := modelTrials(t, parityFactory(), m, 2, 12, 7)
+	b := modelTrials(t, parityFactory(), m, 2, 12, 7)
 	if a != b {
 		t.Errorf("same seed diverged: %v vs %v", a, b)
 	}
 	// Trial i runs on seed+i, so nearby base seeds share trials; a
 	// disjoint seed window must drive a different fault sequence.
-	c := RunModelTrials(parityFactory(), m, 2, 12, 907)
+	c := modelTrials(t, parityFactory(), m, 2, 12, 907)
 	if a == c {
 		t.Errorf("seeds 7 and 907 produced identical counts %v — rng stream suspect", a)
 	}
@@ -68,8 +80,8 @@ func TestLifetimeChangesSchemeRanking(t *testing.T) {
 	transient := Model{Foot: FootWord, Life: Transient}
 	stuck := Model{Foot: FootWord, Life: StuckAt}
 
-	pTrans := RunModelTrials(parityFactory(), transient, 1, trials, seed)
-	pStuck := RunModelTrials(parityFactory(), stuck, 1, trials, seed)
+	pTrans := modelTrials(t, parityFactory(), transient, 1, trials, seed)
+	pStuck := modelTrials(t, parityFactory(), stuck, 1, trials, seed)
 	if pStuck.DUE <= pTrans.DUE {
 		t.Errorf("parity-1d DUE did not rise under stuck-at: transient %v, stuck %v", pTrans, pStuck)
 	}
@@ -77,8 +89,8 @@ func TestLifetimeChangesSchemeRanking(t *testing.T) {
 		t.Errorf("parity-1d coverage did not drop under stuck-at: transient %v, stuck %v", pTrans, pStuck)
 	}
 
-	cTrans := RunModelTrials(cppc, transient, 1, trials, seed)
-	cStuck := RunModelTrials(cppc, stuck, 1, trials, seed)
+	cTrans := modelTrials(t, cppc, transient, 1, trials, seed)
+	cStuck := modelTrials(t, cppc, stuck, 1, trials, seed)
 	if cTrans.Corrected != trials || cStuck.Corrected != trials {
 		t.Errorf("cppc lost coverage: transient %v, stuck %v", cTrans, cStuck)
 	}
@@ -89,7 +101,7 @@ func TestLifetimeChangesSchemeRanking(t *testing.T) {
 // next consult re-asserts it — the plane wins over the array until the
 // fault is disarmed.
 func TestStuckAtDefeatsOneShotRepair(t *testing.T) {
-	c := cache.New(campaignCacheConfig())
+	c := cache.New(CampaignCacheConfig())
 	mem := cache.NewMemory(32, 100)
 	ct := protect.NewController(c, protect.NewParity1D(c, 8), mem)
 	camp := New(ct, mem, 3)

@@ -22,11 +22,11 @@ func workersCtx(n int) context.Context {
 
 func TestSpatialBitIdenticalAcrossWorkers(t *testing.T) {
 	mk := cppcFactory(core.DefaultL1Config())
-	base, err := RunSpatialTrialsCfgCtx(workersCtx(1), campaignCacheConfig(), mk, 8, 8, 24, 101)
+	base, err := RunSpatialTrialsCfgCtx(workersCtx(1), CampaignCacheConfig(), mk, 8, 8, 24, 101)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunSpatialTrialsCfgCtx(workersCtx(8), campaignCacheConfig(), mk, 8, 8, 24, 101)
+	got, err := RunSpatialTrialsCfgCtx(workersCtx(8), CampaignCacheConfig(), mk, 8, 8, 24, 101)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +60,11 @@ func TestModelBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 	mk := cppcFactory(core.DefaultL1Config())
 	for _, m := range models {
-		base, err := RunModelTrialsCtx(workersCtx(1), campaignCacheConfig(), mk, m, 2, 12, 107)
+		base, err := RunModelTrialsCtx(workersCtx(1), CampaignCacheConfig(), mk, m, 2, 12, 107)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := RunModelTrialsCtx(workersCtx(8), campaignCacheConfig(), mk, m, 2, 12, 107)
+		got, err := RunModelTrialsCtx(workersCtx(8), CampaignCacheConfig(), mk, m, 2, 12, 107)
 		if err != nil {
 			t.Fatal(err)
 		}

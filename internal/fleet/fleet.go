@@ -46,7 +46,7 @@ import (
 // Executor is the slice of the service a Node drives: executing stolen
 // cells and exposing the local queue. *service.Service implements it.
 type Executor interface {
-	ExecuteSpec(ctx context.Context, spec service.JobSpec) ([]byte, error)
+	ExecuteSpec(ctx context.Context, c service.QueuedCell) ([]byte, error)
 	StealableCells(max int) []service.QueuedCell
 	LoadHint() (queued, busy, workers int)
 }
@@ -486,6 +486,9 @@ func (n *Node) nextLivePeer() *peer {
 
 // steal executes one queued cell this node already claimed, then pushes
 // the result back so the victim's waiting worker finds it immediately.
+// A cell the executor refuses (a sweep spec, or a hash its spec does not
+// produce) is a steal error: nothing is stored or pushed and the claim
+// is released.
 func (n *Node) steal(victim *peer, c service.QueuedCell) {
 	defer n.wg.Done()
 	defer func() {
@@ -493,7 +496,7 @@ func (n *Node) steal(victim *peer, c service.QueuedCell) {
 		n.steals--
 		n.mu.Unlock()
 	}()
-	data, err := n.cfg.Exec.ExecuteSpec(n.ctx, c.Spec)
+	data, err := n.cfg.Exec.ExecuteSpec(n.ctx, c)
 	if err != nil {
 		n.releaseOwn(c.Hash)
 		n.bump("steal_errors")

@@ -281,7 +281,7 @@ type fakeExec struct {
 	runs int
 }
 
-func (f *fakeExec) ExecuteSpec(context.Context, service.JobSpec) ([]byte, error) {
+func (f *fakeExec) ExecuteSpec(context.Context, service.QueuedCell) ([]byte, error) {
 	f.mu.Lock()
 	f.runs++
 	f.mu.Unlock()
@@ -408,6 +408,65 @@ func TestStealBatchClaimsOnePostPerPeer(t *testing.T) {
 		t.Errorf("executed %d cells, want %d", exec.runs, batch)
 	}
 	exec.mu.Unlock()
+}
+
+// TestStealRejectsMismatchedHash: a peer's queue listing is untrusted.
+// A cell listed under a hash its spec does not produce must be dropped —
+// nothing stored under the listed hash, nothing executed or pushed to
+// the victim, the claim released — or every later job needing the
+// listed cell would render the other spec's numbers.
+func TestStealRejectsMismatchedHash(t *testing.T) {
+	sum := sha256.Sum256([]byte("another cell"))
+	listed := hex.EncodeToString(sum[:])
+	spec := service.JobSpec{Kind: service.KindSimulate, Bench: "gzip", Scheme: "cppc", Warmup: tinyWarmup, Measure: tinyMeasure}
+	victim := newFakePeer([]service.QueuedCell{{Hash: listed, Spec: spec}})
+	defer victim.ts.Close()
+
+	store := cellstore.NewMemory(64)
+	svc := service.New(service.Config{Workers: 1, Store: store})
+	defer svc.Shutdown(context.Background())
+	n := New(Config{
+		Self:         "http://stealer.invalid",
+		Peers:        []string{victim.ts.URL},
+		Local:        store,
+		Exec:         svc,
+		PeerTimeout:  2 * time.Second,
+		PollInterval: 20 * time.Millisecond,
+	})
+	n.Start()
+	defer n.Close()
+
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st := n.Stats()
+		if st["steal_errors"]+st["cells_stolen"] > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the listed cell was never stolen")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if st := n.Stats(); st["steal_errors"] != 1 || st["cells_stolen"] != 0 {
+		t.Errorf("steal_errors=%d cells_stolen=%d, want 1 and 0", st["steal_errors"], st["cells_stolen"])
+	}
+	if _, ok := store.Get(listed); ok {
+		t.Error("the spec's result was stored under the listed hash")
+	}
+	if got := svc.Metrics().CellsExecuted; got != 0 {
+		t.Errorf("executed %d cells, want 0", got)
+	}
+	n.mu.Lock()
+	_, held := n.claims[listed]
+	n.mu.Unlock()
+	if held {
+		t.Error("claim on the listed hash not released")
+	}
+	victim.mu.Lock()
+	defer victim.mu.Unlock()
+	if victim.puts != 0 {
+		t.Errorf("%d results pushed to the victim, want 0", victim.puts)
+	}
 }
 
 // TestFleetAuthRejectsBadToken pins the shared-secret gate: with

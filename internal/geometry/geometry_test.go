@@ -1,10 +1,9 @@
 package geometry
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
-
-	"cppc/internal/bitops"
 )
 
 func testLayout() Layout {
@@ -132,8 +131,8 @@ func TestFlipsClipped(t *testing.T) {
 	if len(fl) != 1 {
 		t.Fatalf("want 1 affected word after clipping, got %d", len(fl))
 	}
-	if bitops.PopCount(fl[0].Mask) != 2 {
-		t.Errorf("want 2 flipped bits, got %d", bitops.PopCount(fl[0].Mask))
+	if bits.OnesCount64(fl[0].Mask) != 2 {
+		t.Errorf("want 2 flipped bits, got %d", bits.OnesCount64(fl[0].Mask))
 	}
 	// Fully out of bounds.
 	if fl := l.Flips(SpatialFault{Row: -10, BitCol: 0, Height: 2, Width: 2}); len(fl) != 0 {
@@ -147,8 +146,8 @@ func TestFlips8x8TouchesEightClasses(t *testing.T) {
 	classes := map[int]bool{}
 	for _, f := range fl {
 		classes[l.ClassOf(f.Set, f.Way, f.Word)] = true
-		if bitops.PopCount(f.Mask) != 8 {
-			t.Errorf("word %+v flips %d bits, want 8", f, bitops.PopCount(f.Mask))
+		if bits.OnesCount64(f.Mask) != 8 {
+			t.Errorf("word %+v flips %d bits, want 8", f, bits.OnesCount64(f.Mask))
 		}
 	}
 	if len(classes) != 8 {
@@ -197,7 +196,7 @@ func TestFlipsBitInterleaved(t *testing.T) {
 		t.Fatalf("16-wide: want 8 words, got %d", len(fl))
 	}
 	for _, f := range fl {
-		if bitops.PopCount(f.Mask) != 2 {
+		if bits.OnesCount64(f.Mask) != 2 {
 			t.Errorf("16-wide: word mask %#x, want 2 bits", f.Mask)
 		}
 	}

@@ -6,67 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestInterleavedRoundTrip(t *testing.T) {
-	for _, degree := range []int{1, 2, 4, 8} {
-		c := NewInterleaved(degree)
-		f := func(w uint64) bool {
-			return !c.Detects(w, c.Encode(w))
-		}
-		if err := quick.Check(f, nil); err != nil {
-			t.Errorf("degree %d: %v", degree, err)
-		}
-	}
-}
-
-func TestInterleavedDetectsOdd(t *testing.T) {
-	c := NewInterleaved(8)
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 500; trial++ {
-		w := rng.Uint64()
-		check := c.Encode(w)
-		// Flip an odd number of bits all in distinct stripes.
-		n := 1 + 2*rng.Intn(4) // 1, 3, 5, 7
-		stripes := rng.Perm(8)[:n]
-		var mask uint64
-		for _, s := range stripes {
-			mask |= 1 << uint(s+8*rng.Intn(8))
-		}
-		if !c.Detects(w^mask, check) {
-			t.Fatalf("odd flips in distinct stripes undetected: mask %#x", mask)
-		}
-		got := c.FaultyStripes(w^mask, check)
-		if len(got) != n {
-			t.Fatalf("expected %d faulty stripes, got %v", n, got)
-		}
-	}
-}
-
-func TestInterleavedNamesAndSizes(t *testing.T) {
-	c := NewInterleaved(8)
-	if c.Name() != "parity-8way" {
-		t.Errorf("Name = %q", c.Name())
-	}
-	if c.CheckBits() != 8 {
-		t.Errorf("CheckBits = %d", c.CheckBits())
-	}
-	if NewInterleaved(1).CheckBits() != 1 {
-		t.Error("degree-1 CheckBits wrong")
-	}
-}
-
-func TestNewInterleavedPanics(t *testing.T) {
-	for _, degree := range []int{0, 3, 65} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewInterleaved(%d) did not panic", degree)
-				}
-			}()
-			NewInterleaved(degree)
-		}()
-	}
-}
-
 func TestSECDEDCleanRoundTrip(t *testing.T) {
 	var s SECDED
 	f := func(w uint64) bool {
@@ -157,9 +96,9 @@ func TestSECDEDOutcomeStrings(t *testing.T) {
 }
 
 func TestSECDEDInterface(t *testing.T) {
-	var c Code = SECDED{}
+	c := SECDED{}
 	if c.Name() != "secded-72-64" || c.CheckBits() != 8 {
-		t.Error("SECDED Code metadata wrong")
+		t.Error("SECDED metadata wrong")
 	}
 	w := uint64(42)
 	if c.Detects(w, c.Encode(w)) {

@@ -28,17 +28,31 @@ func encodeCell(res cellResult) ([]byte, error) {
 	return json.Marshal(res)
 }
 
-// decodeCell parses stored bytes back into a typed cell result. A blob
-// carrying no payload at all is rejected, so a torn disk write or a
-// malformed peer response can't masquerade as a computed cell — callers
-// fall back to recomputation.
-func decodeCell(data []byte) (cellResult, error) {
+// decodeCell parses stored bytes back into the typed result of a cell
+// of the given kind. A blob lacking that kind's payload is rejected, so
+// a torn disk write, a malformed peer response or another kind's cell
+// can't masquerade as this cell — callers fall back to recomputation,
+// and aggregate can rely on every cell carrying its kind's payload.
+func decodeCell(kind string, data []byte) (cellResult, error) {
 	var res cellResult
 	if err := json.Unmarshal(data, &res); err != nil {
 		return cellResult{}, fmt.Errorf("cell decode: %w", err)
 	}
-	if res.Run == nil && res.Multicore == nil && res.L3 == nil && res.MC == nil && res.FieldMC == nil {
-		return cellResult{}, fmt.Errorf("cell decode: empty result")
+	var ok bool
+	switch kind {
+	case KindSimulate:
+		ok = res.Run != nil
+	case KindMulticore:
+		ok = res.Multicore != nil
+	case KindL3:
+		ok = res.L3 != nil
+	case KindMonteCarlo:
+		ok = res.MC != nil
+	case KindFieldMC:
+		ok = res.FieldMC != nil
+	}
+	if !ok {
+		return cellResult{}, fmt.Errorf("cell decode: no %s result", kind)
 	}
 	return res, nil
 }

@@ -166,7 +166,7 @@ func (s *Service) Submit(spec JobSpec) (Job, error) {
 		for i, c := range plan {
 			planHash[i] = c.hash()
 			if data, ok := s.store.Get(planHash[i]); ok {
-				if res, err := decodeCell(data); err == nil {
+				if res, err := decodeCell(c.Kind, data); err == nil {
 					r := res
 					cellHits[i] = &r
 				}
@@ -229,11 +229,8 @@ func (s *Service) Submit(spec JobSpec) (Job, error) {
 		// artifact can take a while, so drop the lock for the render
 		// (the job is still local; nothing else can see it yet).
 		s.mu.Unlock()
-		res, err := aggregate(norm, job.cellRes)
+		res := aggregate(norm, job.cellRes)
 		s.mu.Lock()
-		if err != nil {
-			return Job{}, err
-		}
 		if s.closed {
 			return Job{}, ErrClosed
 		}
@@ -537,13 +534,12 @@ func (s *Service) worker() {
 				// unlocked is safe.
 				s.mu.Unlock()
 				aggs := make([]*Result, len(ready))
-				errs := make([]error, len(ready))
 				for i, p := range ready {
-					aggs[i], errs[i] = aggregate(p.Spec, p.cellRes)
+					aggs[i] = aggregate(p.Spec, p.cellRes)
 				}
 				s.mu.Lock()
 				for i, p := range ready {
-					s.finishAggregatedLocked(p, aggs[i], errs[i], end)
+					s.finishAggregatedLocked(p, aggs[i], end)
 				}
 			}
 		} else {
@@ -614,13 +610,8 @@ func (s *Service) deliverLocked(p *Job, hash string, res cellResult) bool {
 // finishAggregatedLocked publishes a fully-delivered parent's report.
 // The parent may have been canceled while the caller aggregated outside
 // the lock; the result is dropped in that case. Must run under s.mu.
-func (s *Service) finishAggregatedLocked(p *Job, agg *Result, err error, end time.Time) {
+func (s *Service) finishAggregatedLocked(p *Job, agg *Result, end time.Time) {
 	if p.State.terminal() {
-		return
-	}
-	if err != nil {
-		s.endLocked(p, StateFailed, err.Error(), end)
-		s.failed++
 		return
 	}
 	if p.Started != nil {
@@ -655,11 +646,12 @@ func (s *Service) failLocked(p *Job, err error, canceled bool, end time.Time) {
 // s.mu.
 func (s *Service) runCell(ctx context.Context, hash string, spec JobSpec) (cellResult, error) {
 	if data, ok := s.store.Get(hash); ok {
-		if res, err := decodeCell(data); err == nil {
+		if res, err := decodeCell(spec.Kind, data); err == nil {
 			return res, nil
 		}
-		// A corrupt entry (torn disk write, bad peer bytes) falls
-		// through to recomputation and is overwritten below.
+		// A corrupt or foreign entry (torn disk write, bad peer bytes,
+		// another kind's cell) falls through to recomputation and is
+		// overwritten below.
 	}
 	local := func(ctx context.Context) ([]byte, error) {
 		res, err := s.executeCounted(ctx, spec)
@@ -678,13 +670,13 @@ func (s *Service) runCell(ctx context.Context, hash string, spec JobSpec) (cellR
 	if err != nil {
 		return cellResult{}, err
 	}
-	res, derr := decodeCell(data)
+	res, derr := decodeCell(spec.Kind, data)
 	if derr != nil {
 		// A peer handed back bytes we cannot read: recompute locally.
 		if data, err = local(ctx); err != nil {
 			return cellResult{}, err
 		}
-		if res, derr = decodeCell(data); derr != nil {
+		if res, derr = decodeCell(spec.Kind, data); derr != nil {
 			return cellResult{}, derr
 		}
 	}
@@ -756,13 +748,24 @@ func (s *Service) LoadHint() (queued, busy, workers int) {
 	return len(s.runq), s.busy, s.cfg.Workers
 }
 
-// ExecuteSpec runs one cell spec outside the worker pool — this is where
-// a fleet steal lands — and returns the canonical encoded bytes after
-// writing them through the local store.
-func (s *Service) ExecuteSpec(ctx context.Context, spec JobSpec) ([]byte, error) {
-	norm, err := spec.normalize()
+// ExecuteSpec runs one queued cell outside the worker pool — this is
+// where a fleet steal lands — and returns the canonical encoded bytes
+// after writing them through the local store. The cell comes from a
+// peer's queue listing, so it runs only if its spec is a single cell
+// (plans into itself) whose hash is the listed one: a sweep spec would
+// crash or fail the executor, and a mismatched pair would file one
+// cell's result under another cell's hash.
+func (s *Service) ExecuteSpec(ctx context.Context, c QueuedCell) ([]byte, error) {
+	norm, err := c.Spec.normalize()
 	if err != nil {
 		return nil, err
+	}
+	hash := norm.hash()
+	if hash != c.Hash {
+		return nil, fmt.Errorf("queued cell %.12s: spec hashes to %.12s", c.Hash, hash)
+	}
+	if plan := planCells(norm); len(plan) != 1 || plan[0].hash() != hash {
+		return nil, fmt.Errorf("queued cell %.12s: spec plans into %d cells, not itself", c.Hash, len(plan))
 	}
 	if s.Draining() {
 		return nil, ErrClosed
@@ -775,7 +778,7 @@ func (s *Service) ExecuteSpec(ctx context.Context, spec JobSpec) ([]byte, error)
 	if err != nil {
 		return nil, err
 	}
-	s.store.Put(norm.hash(), data)
+	s.store.Put(hash, data)
 	return data, nil
 }
 
@@ -825,16 +828,15 @@ func executeCell(ctx context.Context, spec JobSpec) (cellResult, error) {
 
 // aggregate assembles a job's report from its completed cells (in plan
 // order) through the experiments renderers, so the artifacts do not
-// depend on the order in which cells completed.
-func aggregate(spec JobSpec, cells []cellResult) (*Result, error) {
+// depend on the order in which cells completed. Every cell was decoded
+// or executed for its planned spec's kind, so it carries that kind's
+// payload.
+func aggregate(spec JobSpec, cells []cellResult) *Result {
 	res := &Result{Kind: spec.Kind, Artifacts: map[string]string{}}
 	switch {
 	case spec.Kind == KindSuite:
 		suite := experiments.NewSuite(spec.budget())
-		for i, c := range cells {
-			if c.Run == nil {
-				return nil, fmt.Errorf("suite cell %d missing its run", i)
-			}
+		for _, c := range cells {
 			suite.Add(*c.Run)
 		}
 		want := spec.Figures
@@ -846,9 +848,6 @@ func aggregate(spec JobSpec, cells []cellResult) (*Result, error) {
 		}
 	case spec.Kind == KindSimulate:
 		run := cells[0].Run
-		if run == nil {
-			return nil, fmt.Errorf("simulate cell missing its run")
-		}
 		res.Values = map[string]float64{
 			"cpi":            run.CPI,
 			"l1_misses":      float64(run.L1.Misses),
@@ -865,27 +864,18 @@ func aggregate(spec JobSpec, cells []cellResult) (*Result, error) {
 			run.L1.Misses, run.L1.Accesses(), run.L2.Misses, run.L2.Accesses())
 	case spec.Kind == KindMonteCarlo:
 		mcs := make([]experiments.MonteCarloCell, 0, len(cells))
-		for i, c := range cells {
-			if c.MC == nil {
-				return nil, fmt.Errorf("montecarlo cell %d missing its campaign", i)
-			}
+		for _, c := range cells {
 			mcs = append(mcs, *c.MC)
 		}
 		res.Artifacts["montecarlo"] = experiments.MonteCarloTable(spec.Trials, mcs)
 	case spec.Kind == KindFieldMC && spec.Scheme == "":
 		fcs := make([]experiments.FieldMCCell, 0, len(cells))
-		for i, c := range cells {
-			if c.FieldMC == nil {
-				return nil, fmt.Errorf("fieldmc cell %d missing its campaign", i)
-			}
+		for _, c := range cells {
 			fcs = append(fcs, *c.FieldMC)
 		}
 		res.Artifacts["fieldmc"] = experiments.FieldMCTable(spec.Trials, fcs)
 	case spec.Kind == KindFieldMC:
 		cell := cells[0].FieldMC
-		if cell == nil {
-			return nil, fmt.Errorf("fieldmc cell missing its campaign")
-		}
 		res.Values = map[string]float64{
 			"corrected":     float64(cell.Counts.Corrected),
 			"due":           float64(cell.Counts.DUE),
@@ -896,18 +886,12 @@ func aggregate(spec JobSpec, cells []cellResult) (*Result, error) {
 			cell.Scheme, cell.Point, cell.Counts.String(), cell.Counts.Total())
 	case spec.Kind == KindMulticore && spec.Sweep:
 		runs := make([]experiments.MulticoreRun, 0, len(cells))
-		for i, c := range cells {
-			if c.Multicore == nil {
-				return nil, fmt.Errorf("multicore cell %d missing its run", i)
-			}
+		for _, c := range cells {
 			runs = append(runs, *c.Multicore)
 		}
 		res.Artifacts["sec7"] = experiments.Section7Table(runs)
 	case spec.Kind == KindMulticore:
 		run := cells[0].Multicore
-		if run == nil {
-			return nil, fmt.Errorf("multicore cell missing its run")
-		}
 		rbwPerStore := 0.0
 		if run.L1.Stores > 0 {
 			rbwPerStore = float64(run.L1.ReadBeforeWrite) / float64(run.L1.Stores)
@@ -941,18 +925,12 @@ func aggregate(spec JobSpec, cells []cellResult) (*Result, error) {
 			run.ElidedL1+run.ElidedL2)
 	case spec.Kind == KindL3 && spec.Sweep:
 		runs := make([]experiments.L3Run, 0, len(cells))
-		for i, c := range cells {
-			if c.L3 == nil {
-				return nil, fmt.Errorf("l3 cell %d missing its run", i)
-			}
+		for _, c := range cells {
 			runs = append(runs, *c.L3)
 		}
 		res.Artifacts["l3"] = experiments.L3Table(runs)
 	case spec.Kind == KindL3:
 		run := cells[0].L3
-		if run == nil {
-			return nil, fmt.Errorf("l3 cell missing its run")
-		}
 		res.Values = map[string]float64{
 			"cpi_parity":       run.ParityCPI,
 			"cpi_cppc_l3":      run.CPPCL3CPI,
@@ -967,8 +945,6 @@ func aggregate(spec JobSpec, cells []cellResult) (*Result, error) {
 			"%s L3 study: CPI parity %.4f, cppc@L3 %.4f, cppc@L2 %.4f; RBW/store L2 %.4f vs L3 %.4f; L3 energy ratio %.4f\n",
 			run.Bench, run.ParityCPI, run.CPPCL3CPI, run.CPPCL2CPI,
 			run.RBWPerStoreL2, run.RBWPerStoreL3, run.EnergyRatio)
-	default:
-		return nil, fmt.Errorf("unknown job kind %q", spec.Kind) // unreachable after normalize
 	}
-	return res, nil
+	return res
 }
