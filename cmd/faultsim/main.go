@@ -45,6 +45,11 @@ func main() {
 		timeout    = flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
 	)
 	flag.Parse()
+	if *trials < 1 {
+		fmt.Fprintln(os.Stderr, "faultsim: -trials must be at least 1")
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	// SIGINT/SIGTERM (and -timeout) cancel the context; the campaign
 	// loops poll it between trials, so a long matrix run exits cleanly
@@ -61,7 +66,10 @@ func main() {
 	// "Deterministic trial parallelism").
 	ctx = par.WithWorkers(ctx, *parallel)
 	fail := func(err error) {
-		fmt.Fprintf(os.Stderr, "faultsim: interrupted: %v\n", err)
+		if ctx.Err() != nil {
+			err = fmt.Errorf("interrupted: %w", err)
+		}
+		fmt.Fprintf(os.Stderr, "faultsim: %v\n", err)
 		os.Exit(1)
 	}
 

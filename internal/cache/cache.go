@@ -387,15 +387,9 @@ func (c *Cache) MarkClean(set, way, g int) {
 	}
 }
 
-// TouchDirty records an access at cycle `now` to the granule containing
-// `word` for Tavg measurement: if the granule is dirty and was accessed
-// before, the interval is accumulated.
-func (c *Cache) TouchDirty(set, way, word int, now uint64) {
-	c.TouchDirtyG(&c.lines[set*c.nWays+way], c.GranuleOf(word), now)
-}
-
-// TouchDirtyG is TouchDirty for a caller that already holds the line
-// pointer and granule index.
+// TouchDirtyG records an access at cycle `now` to granule g of line ln
+// for Tavg measurement: if the granule is dirty and was accessed before,
+// the interval is accumulated.
 func (c *Cache) TouchDirtyG(ln *Line, g int, now uint64) {
 	if !ln.Dirty[g] {
 		return

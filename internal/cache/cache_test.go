@@ -166,13 +166,14 @@ func TestTavgMeasurement(t *testing.T) {
 	way := c.Victim(set)
 	c.Install(set, way, addr, make([]uint64, 4))
 	c.MarkDirty(set, way, 0, 1000)
-	c.TouchDirty(set, way, 0, 1500) // interval 500
-	c.TouchDirty(set, way, 0, 1700) // interval 200
+	ln := c.Line(set, way)
+	c.TouchDirtyG(ln, c.GranuleOf(0), 1500) // interval 500
+	c.TouchDirtyG(ln, c.GranuleOf(0), 1700) // interval 200
 	if got := c.Tavg(); got != 350 {
 		t.Errorf("Tavg = %v, want 350", got)
 	}
 	// Clean granules do not contribute.
-	c.TouchDirty(set, way, 1, 2000)
+	c.TouchDirtyG(ln, c.GranuleOf(1), 2000)
 	if got := c.Tavg(); got != 350 {
 		t.Errorf("Tavg disturbed by clean access: %v", got)
 	}

@@ -166,8 +166,8 @@ func (m *Multiprocessor) ReadInto(core int, addr, now uint64, res *protect.Acces
 	// and every consumer of the sharer bits reconciles again before
 	// using them — the cleanup is safely deferred).
 	if e.sharers&(1<<core) != 0 {
-		if set, way := m.L1s[core].C.Probe(addr); way >= 0 {
-			m.L1s[core].LoadResidentInto(set, way, addr, now, res)
+		if _, way := m.L1s[core].C.Probe(addr); way >= 0 {
+			m.L1s[core].LoadInto(addr, now, res)
 			return
 		}
 	}
@@ -199,8 +199,8 @@ func (m *Multiprocessor) WriteInto(core int, addr, val, now uint64, res *protect
 	// its copy is resident. Ownership implies it was the only sharer, so
 	// no invalidation, bus transaction or entry mutation can occur.
 	if int(e.owner) == core {
-		if set, way := m.L1s[core].C.Probe(addr); way >= 0 {
-			m.L1s[core].StoreResidentInto(set, way, addr, val, now, res)
+		if _, way := m.L1s[core].C.Probe(addr); way >= 0 {
+			m.L1s[core].StoreInto(addr, val, now, res)
 			return
 		}
 	}

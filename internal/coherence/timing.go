@@ -1,9 +1,6 @@
 package coherence
 
-import (
-	"cppc/internal/cache"
-	"cppc/internal/protect"
-)
+import "cppc/internal/protect"
 
 // Timing prices the protocol events of the bus/directory. All costs are
 // in core cycles. The zero value is the untimed protocol (every event
@@ -73,33 +70,17 @@ func (p CorePort) PlanLoadMiss(addr uint64) int      { return p.m.L1s[p.core].Pl
 func (p CorePort) HitLatency() int                   { return p.m.L1s[p.core].C.Cfg.HitLatencyCycles }
 func (p CorePort) Halted() bool                      { return p.m.L1s[p.core].Halted || p.m.L2.Halted }
 
-// PrivateHierarchy is false by construction: every access walks the
-// shared directory and may invalidate or flush another core's L1, so a
-// parallel cpu.Cluster must keep CorePort execution serialized in core
-// order (only trace generation fans out). See cpu.PrivateMemory.
-func (p CorePort) PrivateHierarchy() bool { return false }
-
 // ResetStats clears every counter after warm-up so a measurement window
-// starts clean: cache statistics, occupancy sampling, AND each scheme's
-// engine event counters (CPPC folds, recoveries, elided silent stores).
-// The event reset mirrors cpu.(*System).ResetStats — resetting the cache
-// stats but letting fold counts keep their warmup contribution would
-// inflate every multicore energy figure built from them. Bus reservations
-// are cycle-absolute and deliberately not reset.
+// starts clean: each cache level's statistics, occupancy sampling and
+// scheme event counters (protect.Controller.ResetStats), the protocol
+// statistics and the memory traffic counters. Bus reservations are
+// cycle-absolute and deliberately not reset.
 func (m *Multiprocessor) ResetStats() {
 	m.Stats = Stats{}
 	for _, l1 := range m.L1s {
-		l1.Stats = cache.Stats{}
-		l1.C.ResetSampling()
-		if r, ok := l1.Scheme.(protect.EventResetter); ok {
-			r.ResetEvents()
-		}
+		l1.ResetStats()
 	}
-	m.L2.Stats = cache.Stats{}
-	m.L2.C.ResetSampling()
-	if r, ok := m.L2.Scheme.(protect.EventResetter); ok {
-		r.ResetEvents()
-	}
+	m.L2.ResetStats()
 	m.Mem.Fetches, m.Mem.WriteBacks = 0, 0
 }
 

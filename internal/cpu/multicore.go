@@ -15,21 +15,6 @@ import (
 // one core's view of the shared hierarchy can run ahead of another's.
 const DefaultQuantum = 256
 
-// PrivateMemory is an optional MemoryPort refinement. A port returning
-// true promises that its mutable state (and everything reachable from
-// it) is touched by exactly one core, so whole scheduling quanta for
-// different cores can execute concurrently without observing each
-// other. Ports that share state across cores — a coherence directory, a
-// shared bus — must not implement it (or must return false): for those,
-// the parallel cluster only moves trace generation off the execution
-// goroutine and keeps all memory interactions in core order.
-type PrivateMemory interface {
-	PrivateHierarchy() bool
-}
-
-// PrivateHierarchy: a StackPort wraps one core's own level list.
-func (p StackPort) PrivateHierarchy() bool { return true }
-
 // Cluster drives N OoO cores in lock step, one trace stream per core.
 // The cores share whatever hierarchy their MemoryPorts expose (for the
 // Sec. 7 experiments, per-core views of a timed coherence.Multiprocessor);
@@ -56,10 +41,11 @@ func NewCluster(cfg Config, ports []MemoryPort, srcs []trace.Source) (*Cluster, 
 }
 
 // SetWorkers bounds the goroutine fan-out of subsequent runs: up to n
-// goroutines cooperate on each scheduling quantum. n <= 1 (the default)
-// selects the serial path. Results are bit-identical for every n — the
-// knob trades wall clock, never output — so callers may size it from
-// transient facts (idle pool workers) without perturbing cached results.
+// goroutines draw each scheduling quantum's trace. n <= 1 (the default)
+// draws it inline on the executing goroutine. Results are bit-identical
+// for every n — the knob trades wall clock, never output — so callers
+// may size it from transient facts (idle pool workers) without
+// perturbing cached results.
 func (cl *Cluster) SetWorkers(n int) { cl.workers = n }
 
 // Release returns every core's scratch arena to the construction pool
@@ -77,19 +63,6 @@ type MulticoreResult struct {
 	Cycles       uint64  // wall clock: max completion cycle over cores
 	CPI          float64 // Cycles over instructions-per-core
 	Halted       bool    // a DUE stopped some core (the cluster stops with it)
-}
-
-// privateHierarchy reports whether every core's port declares its
-// hierarchy core-private (see PrivateMemory). Absence of the marker
-// means shared — the conservative default.
-func (cl *Cluster) privateHierarchy() bool {
-	for _, c := range cl.Cores {
-		p, ok := c.Mem.(PrivateMemory)
-		if !ok || !p.PrivateHierarchy() {
-			return false
-		}
-	}
-	return true
 }
 
 // forEachCore runs fn(i) for every core index across at most workers
@@ -124,44 +97,27 @@ func (cl *Cluster) forEachCore(workers int, fn func(i int)) {
 // be separate calls with the cycle delta taken by the caller. If any core
 // halts on an unrecoverable fault the whole cluster stops.
 //
-// With SetWorkers(>= 2) the per-quantum core loop fans out across a
-// bounded goroutine set with a deterministic barrier per quantum:
-//
-//   - every core's hierarchy private: whole quanta execute concurrently
-//     (no core can observe another), and per-core results are merged in
-//     core order at the barrier;
-//   - shared hierarchy (coherence/bus): each core's quantum of trace is
-//     drawn concurrently — the per-core generators are independent —
-//     then the cores execute in core order, so every coherence and bus
-//     interaction happens in exactly the serial path's order.
-//
-// Either way the output is bit-identical to the serial path.
+// With SetWorkers(>= 2) each core's quantum of trace is drawn
+// concurrently across a bounded goroutine set — the per-core generators
+// are independent — and after that barrier the cores execute in core
+// order, so every memory interaction (coherence, bus, a shared level)
+// happens in exactly the workerless order and the output is
+// bit-identical to it.
 func (cl *Cluster) RunCtx(ctx context.Context, n, quantum int) (MulticoreResult, error) {
 	if quantum <= 0 {
 		quantum = DefaultQuantum
 	}
-	workers := cl.workers
-	if workers > len(cl.Cores) {
-		workers = len(cl.Cores)
-	}
-	if workers < 2 {
-		return cl.runSerial(ctx, n, quantum)
-	}
-	return cl.runParallel(ctx, n, quantum, workers)
-}
-
-// runSerial is the workerless quantum loop — the reference path the
-// parallel one is held bit-identical to, and the one that allocates
-// nothing beyond the result.
-func (cl *Cluster) runSerial(ctx context.Context, n, quantum int) (MulticoreResult, error) {
+	workers := min(cl.workers, len(cl.Cores))
 	res := MulticoreResult{PerCore: make([]Result, len(cl.Cores))}
 	var err error
 	remaining := n
 outer:
 	for remaining > 0 && !res.Halted {
-		step := quantum
-		if remaining < step {
-			step = remaining
+		step := min(quantum, remaining)
+		if workers >= 2 {
+			cl.forEachCore(workers, func(i int) {
+				cl.Cores[i].prefill(cl.srcs[i], step)
+			})
 		}
 		for i, c := range cl.Cores {
 			r, rerr := c.RunCtx(ctx, cl.srcs[i], step)
@@ -177,57 +133,8 @@ outer:
 	return res, err
 }
 
-// runParallel fans each quantum across the worker set (see RunCtx).
-func (cl *Cluster) runParallel(ctx context.Context, n, quantum, workers int) (MulticoreResult, error) {
-	private := cl.privateHierarchy()
-	res := MulticoreResult{PerCore: make([]Result, len(cl.Cores))}
-	var err error
-	// Per-round scratch, reset entry-by-entry at the merge so a partial
-	// round (an error stopped the core loop early) merges zeros for the
-	// cores that did not run.
-	rs := make([]Result, len(cl.Cores))
-	errs := make([]error, len(cl.Cores))
-	remaining := n
-outer:
-	for remaining > 0 && !res.Halted {
-		step := quantum
-		if remaining < step {
-			step = remaining
-		}
-		if private {
-			cl.forEachCore(workers, func(i int) {
-				rs[i], errs[i] = cl.Cores[i].RunCtx(ctx, cl.srcs[i], step)
-			})
-		} else {
-			cl.forEachCore(workers, func(i int) {
-				cl.Cores[i].prefill(cl.srcs[i], step)
-			})
-			for i, c := range cl.Cores {
-				rs[i], errs[i] = c.RunCtx(ctx, cl.srcs[i], step)
-				if errs[i] != nil {
-					break
-				}
-			}
-		}
-		// Merge barrier: per-core results land in core order regardless of
-		// which goroutine produced them.
-		for i := range cl.Cores {
-			r, rerr := rs[i], errs[i]
-			rs[i], errs[i] = Result{}, nil
-			mergeCore(&res, i, r)
-			if rerr != nil {
-				err = rerr
-				break outer
-			}
-		}
-		remaining -= step
-	}
-	finalize(&res, len(cl.Cores))
-	return res, err
-}
-
-// mergeCore folds one core's quantum result into the aggregate; called
-// in core order on both paths.
+// mergeCore folds one core's quantum result into the aggregate, in core
+// order.
 func mergeCore(res *MulticoreResult, i int, r Result) {
 	pc := &res.PerCore[i]
 	pc.Instructions += r.Instructions

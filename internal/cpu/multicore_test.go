@@ -10,8 +10,7 @@ import (
 )
 
 // buildPrivateCluster assembles n cores, each over its own Table 1
-// stack (a private hierarchy: the parallel path may execute whole
-// quanta concurrently), with per-core deterministic trace streams.
+// stack, with per-core deterministic trace streams.
 func buildPrivateCluster(t *testing.T, n int) (*Cluster, []*System) {
 	t.Helper()
 	prof := gzipProfile()
@@ -43,10 +42,11 @@ func runCluster(t *testing.T, cl *Cluster, n, quantum int) MulticoreResult {
 }
 
 // TestClusterParallelBitIdentical is the race-job determinism gate: a
-// parallel Cluster run must be bit-identical to the serial path — same
-// MulticoreResult, same final hierarchy state — for N ∈ {1, 2, 4} cores
-// and several worker counts. CI runs this under -race with GOMAXPROCS 1
-// (serial fallback scheduling) and 4 (true concurrency).
+// Cluster run whose trace is prefilled across workers must be
+// bit-identical to the workerless run — same MulticoreResult, same final
+// hierarchy state — for N ∈ {1, 2, 4} cores and several worker counts.
+// CI runs this under -race with GOMAXPROCS 1 (cooperative scheduling)
+// and 4 (true concurrency).
 func TestClusterParallelBitIdentical(t *testing.T) {
 	const instrs, quantum = 6_000, 0
 	for _, n := range []int{1, 2, 4} {
@@ -138,12 +138,13 @@ func TestClusterPrefillExactDemand(t *testing.T) {
 }
 
 // TestClusterFaultPlaneParallel is the fault-plane concurrency gate: CI
-// runs it under -race. Each core's private L1 carries an armed fault
-// plane with stuck-at and intermittent cells that re-assert on every
-// array consult while the Cluster executes whole quanta concurrently.
-// The run must be bit-identical to the serial path (plane coin draws
-// are per-cache, so per-core streams stay deterministic) and the faults
-// must actually fire (detections observed on every core).
+// runs it under -race. Each core's own L1 carries an armed fault plane
+// with stuck-at and intermittent cells that re-assert on every array
+// consult while the Cluster prefills every core's trace concurrently
+// and then executes the cores in order. The run must be bit-identical
+// to the workerless run (plane coin draws are per-cache, so per-core
+// streams stay deterministic) and the faults must actually fire
+// (detections observed on every core).
 func TestClusterFaultPlaneParallel(t *testing.T) {
 	const instrs, quantum = 6_000, 0
 	const cores = 4

@@ -100,19 +100,11 @@ func (sys *System) Release() {
 	}
 }
 
-// ResetStats zeroes every level's cache statistics, occupancy sampling
-// and scheme event counters (CPPC fold/recovery counts). It marks a
-// measurement boundary: everything read afterwards covers exactly the
-// instructions run afterwards. The event reset matters as much as the
-// stats reset — fold counts that keep their warmup contribution inflate
-// every CPPC energy ratio computed against post-warmup cache stats.
+// ResetStats marks the measurement boundary on every level of the stack
+// (see protect.Controller.ResetStats).
 func (sys *System) ResetStats() {
 	for _, l := range sys.Levels {
-		l.Stats = cache.Stats{}
-		l.C.ResetSampling()
-		if r, ok := l.Scheme.(protect.EventResetter); ok {
-			r.ResetEvents()
-		}
+		l.ResetStats()
 	}
 }
 

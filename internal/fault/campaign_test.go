@@ -230,3 +230,41 @@ func TestCountsHelpers(t *testing.T) {
 		t.Error("empty String")
 	}
 }
+
+// TestCampaignRejectsOutOfRangeInput: a spatial square larger than the
+// physical array (128 rows x 256 bits plain, 64 x 512 interleaved) and a
+// negative trial count are caller errors the runners report, not panics
+// inside a trial worker.
+func TestCampaignRejectsOutOfRangeInput(t *testing.T) {
+	ctx := context.Background()
+	mk := cppcFactory(core.DefaultL1Config())
+	for _, c := range []struct {
+		ccfg cache.Config
+		h, w int
+	}{
+		{CampaignCacheConfig(), 129, 1},
+		{CampaignCacheConfig(), 1, 257},
+		{CampaignCacheConfig(), 0, 1},
+		{InterleavedCampaignConfig(), 65, 1},
+	} {
+		if _, err := RunSpatialTrialsCfgCtx(ctx, c.ccfg, mk, c.h, c.w, 2, 1); err == nil {
+			t.Errorf("%s: %dx%d square accepted", c.ccfg.Name, c.h, c.w)
+		}
+	}
+	// The largest squares that fit still run.
+	spatialTrials(t, CampaignCacheConfig(), mk, 128, 1, 1, 1)
+	spatialTrials(t, InterleavedCampaignConfig(), mk, 1, 512, 1, 1)
+
+	if _, err := RunSpatialTrialsCfgCtx(ctx, CampaignCacheConfig(), mk, 4, 4, -1, 1); err == nil {
+		t.Error("spatial campaign accepted -1 trials")
+	}
+	if _, err := RunTemporalTrialsCtx(ctx, mk, 2, -1, 1); err == nil {
+		t.Error("temporal campaign accepted -1 trials")
+	}
+	if _, err := RunModelTrialsCtx(ctx, CampaignCacheConfig(), mk, Model{Foot: FootWord, Life: Transient}, 1, -1, 1); err == nil {
+		t.Error("fault-model campaign accepted -1 trials")
+	}
+	if _, err := MonteCarloMTTFCtx(ctx, mk, 2e-7, -1, 1000, 1); err == nil {
+		t.Error("Monte-Carlo campaign accepted -1 trials")
+	}
+}

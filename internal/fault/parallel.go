@@ -29,6 +29,7 @@ package fault
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -106,8 +107,11 @@ func TrialWorkers() int64 { return trialWorkers.Load() }
 // trials by `run` itself (the Monte-Carlo loop polls every
 // cancelPollAccesses accesses); the first error cancels the remaining
 // workers, the barrier waits for them to drain, and that first error is
-// returned.
+// returned. A negative trial count is an error.
 func runTrials[T any](ctx context.Context, trials int, run func(ctx context.Context, a *Arena, trial int) (T, error)) ([]T, error) {
+	if trials < 0 {
+		return nil, fmt.Errorf("fault: negative trial count %d", trials)
+	}
 	workers := par.Workers(ctx)
 	if workers > trials {
 		workers = trials

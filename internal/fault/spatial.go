@@ -67,8 +67,12 @@ func InterleavedCampaignConfig() cache.Config {
 // layout ccfg. Cancellation is polled between trials, and trials run in
 // parallel up to the context's worker hint; trial i runs on stream
 // seed+i whatever the worker count, so the counts are bit-identical to
-// the sequential loop's.
+// the sequential loop's. A square that does not fit the physical array
+// is an error.
 func RunSpatialTrialsCfgCtx(ctx context.Context, ccfg cache.Config, mk SchemeFactory, h, w, trials int, seed int64) (Counts, error) {
+	if l := ccfg.Layout(); h < 1 || w < 1 || h > l.Rows() || w > l.RowBits() {
+		return Counts{}, fmt.Errorf("fault: a %dx%d square does not fit the %d-row x %d-bit array", h, w, l.Rows(), l.RowBits())
+	}
 	res, err := runTrials(ctx, trials, func(_ context.Context, a *Arena, i int) (Outcome, error) {
 		camp := a.newCampaign(ccfg, mk, seed+int64(i))
 		defer a.endTrial()

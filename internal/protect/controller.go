@@ -93,6 +93,20 @@ func (ct *Controller) SetSampleInterval(n uint64) {
 	ct.sampleLeft = n
 }
 
+// ResetStats zeroes the level's statistics, its occupancy sampling and
+// the scheme's event counters (CPPC fold/recovery counts). It marks a
+// measurement boundary: everything read afterwards covers exactly the
+// accesses made afterwards. The event reset matters as much as the stats
+// reset — fold counts that keep their warmup contribution inflate every
+// CPPC energy ratio computed against post-warmup cache stats.
+func (ct *Controller) ResetStats() {
+	ct.Stats = cache.Stats{}
+	ct.C.ResetSampling()
+	if r, ok := ct.Scheme.(EventResetter); ok {
+		r.ResetEvents()
+	}
+}
+
 // SetWriteThrough switches the controller to write-through operation:
 // stores update the cache and the next level together, and nothing is
 // ever dirty.
@@ -146,7 +160,8 @@ func (ct *Controller) scrub(now uint64) {
 	for i := 0; i < ct.scrubBatch; i++ {
 		if ct.C.Line(ct.scrubSet, ct.scrubWay).Valid {
 			ct.ScrubsPerformed++
-			ct.verifyOnRead(ct.scrubSet, ct.scrubWay, ct.scrubGranule, now, &res)
+			ct.C.ReassertGranule(ct.scrubSet, ct.scrubWay, ct.scrubGranule)
+			ct.check(ct.scrubSet, ct.scrubWay, ct.scrubGranule, now, &res)
 		}
 		ct.scrubGranule++
 		if ct.scrubGranule == ct.C.Granules() {
@@ -174,10 +189,7 @@ func (ct *Controller) earlyWriteback(now uint64) {
 				continue
 			}
 			var res AccessResult
-			ct.verifyDirtyGranules(set, way, now, &res)
-			ct.Scheme.OnDowngrade(set, way, now)
-			ct.Next.WriteBackBlock(ct.C.BlockAddr(set, way), ln.Data, now)
-			ct.Stats.WriteBack++
+			ct.writeBack(set, way, true, now, &res)
 			ct.EarlyWriteBacks++
 			cleaned++
 		}
@@ -215,10 +227,7 @@ func (ct *Controller) ensureWay(addr, tag uint64, set int, now uint64, res *Acce
 		res.ReadPortOps++
 	}
 	if ln.Valid && ln.DirtyAny() {
-		ct.verifyDirtyGranules(set, way, now, res)
-		ct.Scheme.OnEvict(set, way, now)
-		ct.Next.WriteBackBlock(ct.C.BlockAddr(set, way), ln.Data, now)
-		ct.Stats.WriteBack++
+		ct.writeBack(set, way, false, now, res)
 		res.WroteBack = true
 	} else if ln.Valid {
 		ct.Scheme.OnEvict(set, way, now)
@@ -254,27 +263,41 @@ func (ct *Controller) refetch(set, way int, now uint64) int {
 	return lat
 }
 
-// verifyDirtyGranules passes every granule of a block about to be written
-// back through the fault checker. The eviction read is a read like any
-// other: silently writing back a corrupted dirty granule converts a
-// detectable fault into an SDC at the next level — and so does a
-// corrupted *clean* granule riding along in the block-granular write-back
-// (a clean faulty granule is refreshed from the next level first).
-func (ct *Controller) verifyDirtyGranules(set, way int, now uint64, res *AccessResult) {
+// writeBack pushes the block at (set, way) to the next level. Every
+// granule passes the fault checker first: the write-back read is a read
+// like any other, and silently writing back a corrupted dirty granule
+// converts a detectable fault into an SDC at the next level — and so does
+// a corrupted *clean* granule riding along in the block-granular
+// write-back (a clean faulty granule is refreshed from the next level
+// first). The scheme then releases the block's dirty state: OnDowngrade
+// when it stays resident (now clean), OnEvict when it leaves.
+func (ct *Controller) writeBack(set, way int, stays bool, now uint64, res *AccessResult) {
 	for g := 0; g < ct.C.Granules(); g++ {
-		ct.verifyOnRead(set, way, g, now, res)
+		ct.C.ReassertGranule(set, way, g)
+		ct.check(set, way, g, now, res)
 	}
+	if stays {
+		ct.Scheme.OnDowngrade(set, way, now)
+	} else {
+		ct.Scheme.OnEvict(set, way, now)
+	}
+	ct.Next.WriteBackBlock(ct.C.BlockAddr(set, way), ct.C.Line(set, way).Data, now)
+	ct.Stats.WriteBack++
 }
 
-// verifyOnRead runs the detection/recovery path for a granule whose data
-// is being read — by a demand load, a read-before-write, or a sub-word
-// read-modify-write. Any read must pass the checker: folding a latently
-// corrupted old value into the registers would poison them silently.
-func (ct *Controller) verifyOnRead(set, way, g int, now uint64, res *AccessResult) {
-	// Persistent faults live in the array, not the stored value: consult
-	// the fault plane before the checker so a stuck-at or flickering cell
-	// re-corrupts whatever an earlier correction, refetch or scrub wrote.
-	ct.C.ReassertGranule(set, way, g)
+// check runs the detection/recovery path for granule g, whose data is
+// being read — by a demand load, a read-before-write, a sub-word
+// read-modify-write, a write-back, a block fetch or the scrubber. Any
+// read must pass the checker: folding a latently corrupted old value
+// into the registers would poison them silently. A DUE halts the level,
+// a clean fault is refetched from the next level, and a dirty fault the
+// scheme corrected in place is only counted.
+//
+// Persistent faults live in the array, not the stored value, so every
+// caller consults the fault plane first (ReassertGranule, or
+// ReassertLine once per block fetch): a stuck-at or flickering cell
+// re-corrupts whatever an earlier correction, refetch or scrub wrote.
+func (ct *Controller) check(set, way, g int, now uint64, res *AccessResult) {
 	status, needRefetch := ct.Scheme.VerifyGranule(set, way, g, now)
 	res.Fault = status
 	switch {
@@ -317,65 +340,9 @@ func (ct *Controller) LoadInto(addr, now uint64, res *AccessResult) {
 	ln := ct.C.Line(set, way)
 	ct.C.TouchDirtyG(ln, g, now)
 
-	ct.verifyOnRead(set, way, g, now, res)
+	ct.C.ReassertGranule(set, way, g)
+	ct.check(set, way, g, now, res)
 	res.Value = ln.Data[word]
-}
-
-// LoadResidentInto is LoadInto for a block the caller has just probed
-// resident at (set, way) — the multiprocessor's pure-local-hit path
-// skips the second probe. The body mirrors LoadInto's hit branch
-// exactly and must stay in lockstep with it.
-func (ct *Controller) LoadResidentInto(set, way int, addr, now uint64, res *AccessResult) {
-	ct.tick()
-	ct.Stats.Loads++
-	res.Latency = ct.C.Cfg.HitLatencyCycles
-	res.ReadPortOps++
-	ct.C.Touch(set, way)
-	res.Hit = true
-	ct.Stats.LoadHits++
-	_, _, word := ct.C.Decompose(addr)
-	g := ct.C.GranuleOf(word)
-	ln := ct.C.Line(set, way)
-	ct.C.TouchDirtyG(ln, g, now)
-
-	ct.verifyOnRead(set, way, g, now, res)
-	res.Value = ln.Data[word]
-}
-
-// StoreResidentInto is StoreInto for a block the caller has just probed
-// resident at (set, way); it mirrors StoreInto's hit branch exactly and
-// must stay in lockstep with it.
-func (ct *Controller) StoreResidentInto(set, way int, addr, val, now uint64, res *AccessResult) {
-	ct.tick()
-	ct.Stats.Stores++
-	res.Latency = ct.C.Cfg.HitLatencyCycles
-	res.WritePortOps++
-	ct.C.Touch(set, way)
-	res.Hit = true
-	ct.Stats.StoreHits++
-	_, _, word := ct.C.Decompose(addr)
-	g := ct.C.GranuleOf(word)
-	ln := ct.C.Line(set, way)
-	ct.C.TouchDirtyG(ln, g, now)
-
-	wasDirty := ln.Dirty[g]
-	var old []uint64
-	if ct.Scheme.StoreNeedsOldData(set, way, g) {
-		// See StoreInto: the read-before-write passes the fault checker
-		// before the old value is folded into the registers.
-		ct.verifyOnRead(set, way, g, now, res)
-		old = ct.oldBuf[:len(ct.granule(ln, g))]
-		copy(old, ct.granule(ln, g))
-		ct.Stats.ReadBeforeWrite++
-		res.ReadPortOps++
-	}
-	oldVerified := old != nil && res.Fault != FaultDUE
-	ln.Data[word] = val
-	ct.Scheme.OnStore(set, way, g, old, wasDirty, oldVerified, now)
-	if ct.writeThrough {
-		ct.Next.WriteBackBlock(ct.C.BlockAddr(set, way), ln.Data, now)
-		ct.Scheme.OnDowngrade(set, way, now)
-	}
 }
 
 // Store performs a word store at addr (write-allocate).
@@ -388,42 +355,7 @@ func (ct *Controller) Store(addr, val, now uint64) AccessResult {
 // StoreInto is Store writing into a caller-provided result; *res must be
 // zeroed.
 func (ct *Controller) StoreInto(addr, val, now uint64, res *AccessResult) {
-	ct.tick()
-	ct.Stats.Stores++
-	res.Latency = ct.C.Cfg.HitLatencyCycles
-	res.WritePortOps++
-	tag, set, word := ct.C.Decompose(addr)
-	way := ct.ensureWay(addr, tag, set, now, res)
-	if res.Hit {
-		ct.Stats.StoreHits++
-	}
-	g := ct.C.GranuleOf(word)
-	ln := ct.C.Line(set, way)
-	ct.C.TouchDirtyG(ln, g, now)
-
-	wasDirty := ln.Dirty[g]
-	var old []uint64
-	if ct.Scheme.StoreNeedsOldData(set, way, g) {
-		// The read-before-write passes through the fault checker like any
-		// other read: a latent fault in the old value must be recovered
-		// *before* it is folded into the registers.
-		ct.verifyOnRead(set, way, g, now, res)
-		old = ct.oldBuf[:len(ct.granule(ln, g))]
-		copy(old, ct.granule(ln, g))
-		ct.Stats.ReadBeforeWrite++
-		res.ReadPortOps++
-	}
-	// The old value just passed the fault checker (unless recovery failed
-	// with a DUE), so schemes may maintain check bits incrementally.
-	oldVerified := old != nil && res.Fault != FaultDUE
-	ln.Data[word] = val
-	ct.Scheme.OnStore(set, way, g, old, wasDirty, oldVerified, now)
-	if ct.writeThrough {
-		// The store reaches the next level immediately; the line carries
-		// no unique data and reverts to clean.
-		ct.Next.WriteBackBlock(ct.C.BlockAddr(set, way), ln.Data, now)
-		ct.Scheme.OnDowngrade(set, way, now)
-	}
+	ct.store(addr, val, ^uint64(0), now, res)
 }
 
 // StoreSub performs a sub-word store of `size` bytes (1, 2, 4 or 8) at
@@ -442,48 +374,63 @@ func (ct *Controller) StoreSub(addr, val uint64, size int, now uint64) AccessRes
 	if addr%uint64(size) != 0 {
 		panic("protect: misaligned sub-word store")
 	}
-	if size == 8 {
-		return ct.Store(addr, val, now)
-	}
+	shift := uint(addr&7) * 8
+	var res AccessResult
+	// 1<<64 is 0 for a uint64, so size 8 yields the all-ones word mask.
+	ct.store(addr&^7, val<<shift, (uint64(1)<<(uint(size)*8)-1)<<shift, now, &res)
+	return res
+}
+
+// store is the one store body: it writes the bits of val selected by mask
+// into the word at addr (write-allocate). The old granule is read first
+// when the scheme needs a read-before-write or when mask leaves part of
+// the word in place (the sub-word read-modify-write); one read serves
+// both. *res must be zeroed.
+func (ct *Controller) store(addr, val, mask, now uint64, res *AccessResult) {
 	ct.tick()
 	ct.Stats.Stores++
-	var res AccessResult
 	res.Latency = ct.C.Cfg.HitLatencyCycles
 	res.WritePortOps++
-	wordAddr := addr &^ 7
-	set, way := ct.ensure(wordAddr, now, &res)
+	tag, set, word := ct.C.Decompose(addr)
+	way := ct.ensureWay(addr, tag, set, now, res)
 	if res.Hit {
 		ct.Stats.StoreHits++
 	}
-	_, _, word := ct.C.Decompose(wordAddr)
 	g := ct.C.GranuleOf(word)
-	ct.C.TouchDirty(set, way, word, now)
-
 	ln := ct.C.Line(set, way)
+	ct.C.TouchDirtyG(ln, g, now)
+
 	wasDirty := ln.Dirty[g]
-	// The RMW read: needed to rebuild the word's check bits regardless of
-	// scheme; it doubles as the scheme's read-before-write data. Like any
-	// read it passes the fault checker first — merging a sub-word value
-	// into a corrupted word would silently keep the corruption.
-	ct.verifyOnRead(set, way, g, now, &res)
-	ct.Stats.SubWordRMW++
-	res.ReadPortOps++
-	old := ct.oldBuf[:len(ct.granule(ln, g))]
-	copy(old, ct.granule(ln, g))
-	if ct.Scheme.StoreNeedsOldData(set, way, g) {
-		ct.Stats.ReadBeforeWrite++ // satisfied by the same RMW read
+	rbw := ct.Scheme.StoreNeedsOldData(set, way, g)
+	rmw := mask != ^uint64(0)
+	var old []uint64
+	if rbw || rmw {
+		// The read passes through the fault checker like any other read:
+		// a latent fault in the old value must be recovered *before* it is
+		// folded into the registers or merged with the new bytes.
+		ct.C.ReassertGranule(set, way, g)
+		ct.check(set, way, g, now, res)
+		old = ct.oldBuf[:len(ct.granule(ln, g))]
+		copy(old, ct.granule(ln, g))
+		res.ReadPortOps++
+		if rbw {
+			ct.Stats.ReadBeforeWrite++
+		}
+		if rmw {
+			ct.Stats.SubWordRMW++
+		}
 	}
-	// Merge the sub-word value into the 64-bit word.
-	shift := uint((addr & 7) * 8)
-	var mask uint64
-	if size == 8 {
-		mask = ^uint64(0)
-	} else {
-		mask = (uint64(1)<<(uint(size)*8) - 1) << shift
+	// The old value just passed the fault checker (unless recovery failed
+	// with a DUE), so schemes may maintain check bits incrementally.
+	oldVerified := old != nil && res.Fault != FaultDUE
+	ln.Data[word] = ln.Data[word]&^mask | val&mask
+	ct.Scheme.OnStore(set, way, g, old, wasDirty, oldVerified, now)
+	if ct.writeThrough {
+		// The store reaches the next level immediately; the line carries
+		// no unique data and reverts to clean.
+		ct.Next.WriteBackBlock(ct.C.BlockAddr(set, way), ln.Data, now)
+		ct.Scheme.OnDowngrade(set, way, now)
 	}
-	ln.Data[word] = (ln.Data[word] &^ mask) | ((val << shift) & mask)
-	ct.Scheme.OnStore(set, way, g, old, wasDirty, res.Fault != FaultDUE, now)
-	return res
 }
 
 // granule returns the data slice of granule g.
@@ -515,20 +462,7 @@ func (ct *Controller) FetchBlock(addr uint64, dst []uint64, now uint64) int {
 	}
 	for g := 0; g < ct.C.Granules(); g++ {
 		ct.C.TouchDirtyG(ln, g, now)
-		status, needRefetch := ct.Scheme.VerifyGranule(set, way, g, now)
-		switch {
-		case status == FaultDUE:
-			ct.Stats.FaultsDetected++
-			ct.Stats.UnrecoverableDUE++
-			ct.Halted = true
-		case needRefetch:
-			ct.Stats.FaultsDetected++
-			res.Latency += ct.refetch(set, way, now)
-			ct.Stats.FaultsCorrected++
-		case status != FaultNone:
-			ct.Stats.FaultsDetected++
-			ct.Stats.FaultsCorrected++
-		}
+		ct.check(set, way, g, now, &res) // the line was reasserted above
 	}
 	copy(dst, ln.Data)
 	return res.Latency
@@ -574,12 +508,8 @@ func (ct *Controller) Flush(now uint64) {
 		}
 	})
 	for _, r := range dirty {
-		ln := ct.C.Line(r.set, r.way)
 		var res AccessResult
-		ct.verifyDirtyGranules(r.set, r.way, now, &res)
-		ct.Scheme.OnEvict(r.set, r.way, now)
-		ct.Next.WriteBackBlock(ct.C.BlockAddr(r.set, r.way), ln.Data, now)
-		ct.Stats.WriteBack++
+		ct.writeBack(r.set, r.way, false, now, &res)
 		ct.C.Invalidate(r.set, r.way)
 	}
 }
@@ -592,15 +522,11 @@ func (ct *Controller) FlushBlock(addr, now uint64) bool {
 	if way < 0 {
 		return false
 	}
-	ln := ct.C.Line(set, way)
-	if !ln.DirtyAny() {
+	if !ct.C.Line(set, way).DirtyAny() {
 		return false
 	}
 	var res AccessResult
-	ct.verifyDirtyGranules(set, way, now, &res)
-	ct.Scheme.OnDowngrade(set, way, now)
-	ct.Next.WriteBackBlock(ct.C.BlockAddr(set, way), ln.Data, now)
-	ct.Stats.WriteBack++
+	ct.writeBack(set, way, true, now, &res)
 	return true
 }
 
@@ -612,13 +538,9 @@ func (ct *Controller) InvalidateBlock(addr, now uint64) bool {
 	if way < 0 {
 		return false
 	}
-	ln := ct.C.Line(set, way)
-	if ln.DirtyAny() {
+	if ct.C.Line(set, way).DirtyAny() {
 		var res AccessResult
-		ct.verifyDirtyGranules(set, way, now, &res)
-		ct.Scheme.OnEvict(set, way, now)
-		ct.Next.WriteBackBlock(ct.C.BlockAddr(set, way), ln.Data, now)
-		ct.Stats.WriteBack++
+		ct.writeBack(set, way, false, now, &res)
 	} else {
 		ct.Scheme.OnEvict(set, way, now)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cppc/internal/cache"
+	"cppc/internal/core"
 )
 
 func TestWriteThroughNeverDirty(t *testing.T) {
@@ -29,6 +30,45 @@ func TestWriteThroughNeverDirty(t *testing.T) {
 	for addr, v := range golden {
 		if got := mem.ReadWord(addr); got != v {
 			t.Fatalf("memory %#x = %#x, want %#x", addr, got, v)
+		}
+	}
+}
+
+// TestWriteThroughSubWordStores: a sub-word store is a store like any
+// other, so on a write-through level it too reaches memory at once and
+// leaves nothing dirty — under plain parity and under CPPC alike.
+func TestWriteThroughSubWordStores(t *testing.T) {
+	for _, mk := range []func(*cache.Cache) Scheme{
+		func(c *cache.Cache) Scheme { return NewParity1D(c, 8) },
+		func(c *cache.Cache) Scheme { return MustCPPC(c, core.DefaultL1Config()) },
+	} {
+		c := testCache()
+		mem := cache.NewMemory(32, 100)
+		ct := NewController(c, mk(c), mem)
+		ct.SetWriteThrough(true)
+		name := ct.Scheme.Kind()
+		var now uint64
+		want := uint64(0x1122_3344_5566_7788)
+		now++
+		ct.Store(0x40, want, now)
+		for _, size := range []int{1, 2, 4, 8} {
+			for off := 0; off < 8; off += size {
+				now++
+				val := now * 0x0101_0101_0101_0101
+				shift := uint(off * 8)
+				mask := (uint64(1)<<(uint(size)*8) - 1) << shift
+				want = want&^mask | val<<shift&mask
+				ct.StoreSub(0x40+uint64(off), val, size, now)
+				if n := c.DirtyGranuleCount(); n != 0 {
+					t.Fatalf("%v: %d-byte store at +%d left %d dirty granules", name, size, off, n)
+				}
+				if got := mem.ReadWord(0x40); got != want {
+					t.Fatalf("%v: %d-byte store at +%d: memory holds %#x, want %#x", name, size, off, got, want)
+				}
+			}
+		}
+		if got := ct.Load(0x40, now+1).Value; got != want {
+			t.Fatalf("%v: cache holds %#x, want %#x", name, got, want)
 		}
 	}
 }
