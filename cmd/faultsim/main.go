@@ -73,7 +73,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	var mk fault.SchemeFactory
+	var mk protect.Factory
 	switch *scheme {
 	case "parity-1d":
 		mk = func(c *cache.Cache) protect.Scheme { return protect.NewParity1D(c, *degree) }

@@ -137,11 +137,6 @@ func ParityRef(w uint64, degree int) uint64 {
 	return out
 }
 
-// Syndrome returns, for a word whose stored parity was stored and whose
-// recomputed parity is current, the set of parity stripes that disagree,
-// packed like Parity's result. A nonzero syndrome means detection.
-func Syndrome(stored, current uint64) uint64 { return stored ^ current }
-
 // FaultyStripes expands a parity syndrome into the list of stripe indices
 // that flagged an error, in ascending order.
 func FaultyStripes(syndrome uint64, degree int) []int {
@@ -164,6 +159,3 @@ func OnesPositions(w uint64) []int {
 	}
 	return out
 }
-
-// ByteMask returns the mask covering byte i of a word.
-func ByteMask(i int) uint64 { return uint64(0xff) << (uint(i&7) * 8) }

@@ -103,7 +103,7 @@ func TestParityDetectsSingleBit(t *testing.T) {
 		bit := rng.Intn(64)
 		w2 := w ^ (1 << uint(bit))
 		p2 := Parity(w2, 8)
-		syn := Syndrome(p, p2)
+		syn := p ^ p2
 		if syn == 0 {
 			t.Fatalf("single-bit flip at %d undetected", bit)
 		}
@@ -126,7 +126,7 @@ func TestParityDetectsHorizontalBursts(t *testing.T) {
 		for i := 0; i < width; i++ {
 			mask |= 1 << uint(start+i)
 		}
-		if Syndrome(Parity(w, 8), Parity(w^mask, 8)) == 0 {
+		if Parity(w, 8)^Parity(w^mask, 8) == 0 {
 			t.Fatalf("burst width %d at %d undetected", width, start)
 		}
 	}
@@ -137,7 +137,7 @@ func TestParityMissesAlignedDoubleFlip(t *testing.T) {
 	// needs interleaving and CPPC needs Tavg-bounded vulnerability windows.
 	w := uint64(0x1234)
 	mask := uint64(1)<<0 | uint64(1)<<8 // both in stripe 0 of degree 8
-	if Syndrome(Parity(w, 8), Parity(w^mask, 8)) != 0 {
+	if Parity(w, 8)^Parity(w^mask, 8) != 0 {
 		t.Fatal("aligned double flip unexpectedly detected")
 	}
 }

@@ -18,7 +18,7 @@ func swarTestWords() []uint64 {
 		ws = append(ws, 1<<uint(i), ^uint64(0)^(1<<uint(i)))
 	}
 	for i := 0; i < 8; i++ {
-		ws = append(ws, ByteMask(i))
+		ws = append(ws, 0xff<<(8*i))
 	}
 	for _, d := range validDegrees {
 		for p := 0; p < d; p++ {

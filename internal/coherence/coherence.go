@@ -69,12 +69,9 @@ type Multiprocessor struct {
 	blockShift uint // log2 of the L1 block size
 }
 
-// SchemeFactory builds a protection scheme for one cache.
-type SchemeFactory func(c *cache.Cache) protect.Scheme
-
 // New builds an n-core system. l1cfg/l2cfg describe the caches; mkL1/mkL2
 // build each level's protection.
-func New(n int, l1cfg, l2cfg cache.Config, mkL1, mkL2 SchemeFactory, memLatency int) *Multiprocessor {
+func New(n int, l1cfg, l2cfg cache.Config, mkL1, mkL2 protect.Factory, memLatency int) *Multiprocessor {
 	if n < 1 || n > 64 {
 		panic(fmt.Sprintf("coherence: cores must be in [1,64], got %d", n))
 	}

@@ -64,11 +64,6 @@ func (c Config) Validate() error {
 	default:
 		return fmt.Errorf("cppc: register pairs must be 1, 2, 4 or 8; got %d", c.RegisterPairs)
 	}
-	if !c.ByteShifting && c.RegisterPairs < geometry.NumClasses {
-		// Permitted (it is the basic CPPC of Sec. 3), but the combination
-		// cannot correct vertical spatial MBEs; nothing to reject.
-		_ = c
-	}
 	return nil
 }
 
@@ -93,12 +88,10 @@ func DefaultL1Config() Config {
 	return Config{ParityDegree: 8, RegisterPairs: 1, ByteShifting: true}
 }
 
-// DefaultL2Config is the evaluated L2 CPPC (Sec. 6): one register pair
-// sized to an L1 block, eight interleaved parity bits per block, byte
-// shifting.
-func DefaultL2Config() Config {
-	return Config{ParityDegree: 8, RegisterPairs: 1, ByteShifting: true}
-}
+// DefaultL2Config is the evaluated L2 CPPC (Sec. 6): the L1
+// configuration, since the engine sizes its register pair and check bits
+// to the cache's dirty granule — here one L1 block.
+func DefaultL2Config() Config { return DefaultL1Config() }
 
 // SilentL1Config is DefaultL1Config with silent-store elision enabled
 // (the cppc-silent ablation).

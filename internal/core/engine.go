@@ -27,12 +27,13 @@ type Events struct {
 	SilentStoresElided uint64
 }
 
-// Engine attaches CPPC protection to a cache. It owns the register pairs
-// and the per-granule interleaved parity bits (stored in the cache's check
-// array), and implements the recovery algorithm and fault locator.
+// Engine attaches CPPC protection to a cache. It detects through the
+// interleaved parity check code it embeds (stored in the cache's check
+// array), owns the register pairs, and implements the recovery algorithm
+// and fault locator.
 type Engine struct {
+	Parity
 	Cfg Config
-	C   *cache.Cache
 
 	granuleWords int
 	r1, r2       [][]uint64 // [pair][element]
@@ -107,7 +108,12 @@ func New(c *cache.Cache, cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	g := c.Cfg.DirtyGranuleWords
-	e := &Engine{Cfg: cfg, C: c, granuleWords: g, granules: c.Granules()}
+	e := &Engine{
+		Parity:       Parity{C: c, Degree: cfg.ParityDegree},
+		Cfg:          cfg,
+		granuleWords: g,
+		granules:     c.Granules(),
+	}
 	e.r1 = make([][]uint64, cfg.RegisterPairs)
 	e.r2 = make([][]uint64, cfg.RegisterPairs)
 	for p := range e.r1 {
@@ -138,11 +144,6 @@ func (e *Engine) GranuleWords() int { return e.granuleWords }
 // and test probe for no benefit — no caller writes through them.
 func (e *Engine) R1(pair int) []uint64 { return e.r1[pair] }
 func (e *Engine) R2(pair int) []uint64 { return e.r2[pair] }
-
-// GranuleData returns the live data slice of granule g of a line.
-func (e *Engine) GranuleData(ln *cache.Line, g int) []uint64 {
-	return ln.Data[g*e.granuleWords : (g+1)*e.granuleWords]
-}
 
 // ClassOf is the rotation class of granule g of block (set, way): the
 // physical row (of the granule's first word) modulo 8.
@@ -185,87 +186,12 @@ func unfold(reg []uint64, rot int) []uint64 {
 	return out
 }
 
-// GranuleParity computes the interleaved parity bits of a granule: stripe s
-// is the XOR of every data bit whose index is congruent to s modulo the
-// degree, across all words of the granule. Parity is linear, so the words
-// are XORed together first and a single SWAR fold finishes the job.
-func (e *Engine) GranuleParity(data []uint64) uint64 {
-	// Single-word granules (the L1 register width) skip the line fold:
-	// Parity8 inlines into the verify hot path, and the fold of a
-	// one-word line is the word itself.
-	if len(data) == 1 && e.Cfg.ParityDegree == 8 {
-		return bitops.Parity8(data[0])
-	}
-	return bitops.FoldLineParity(data, e.Cfg.ParityDegree)
-}
-
-// EncodeCheck recomputes and stores the parity bits for granule g.
-func (e *Engine) EncodeCheck(set, way, g int) {
-	ln := e.C.Line(set, way)
-	ln.Check[g*e.granuleWords] = e.GranuleParity(e.GranuleData(ln, g))
-}
-
-// CheckSyndrome recomputes granule g's parity and returns the set of
-// disagreeing stripes (0 = clean).
-func (e *Engine) CheckSyndrome(set, way, g int) uint64 {
-	ln := e.C.Line(set, way)
-	// Single-word granule at the default degree: one SWAR fold, no
-	// slice arithmetic (the per-load verify hot path).
-	if e.granuleWords == 1 && e.Cfg.ParityDegree == 8 {
-		return ln.Check[g] ^ bitops.Parity8(ln.Data[g])
-	}
-	return ln.Check[g*e.granuleWords] ^ e.GranuleParity(e.GranuleData(ln, g))
-}
-
-// LineSyndromeOr ORs every granule's syndrome in one pass; zero means
-// the whole line verifies clean. One bounds-predictable loop with no
-// per-granule dispatch — the bulk path behind a clean block fetch.
-func (e *Engine) LineSyndromeOr(set, way int) uint64 {
-	ln := e.C.Line(set, way)
-	var or uint64
-	if e.granuleWords == 1 && e.Cfg.ParityDegree == 8 {
-		for g := 0; g < e.granules; g++ {
-			or |= ln.Check[g] ^ bitops.Parity8(ln.Data[g])
-		}
-		return or
-	}
-	for g := 0; g < e.granules; g++ {
-		or |= ln.Check[g*e.granuleWords] ^ e.GranuleParity(e.GranuleData(ln, g))
-	}
-	return or
-}
-
-// OnFill encodes check bits for a freshly installed (clean) block.
-func (e *Engine) OnFill(set, way int) {
-	ln := e.C.Line(set, way)
-	if e.granuleWords == 1 && e.Cfg.ParityDegree == 8 {
-		for g := 0; g < e.granules; g++ {
-			ln.Check[g] = bitops.Parity8(ln.Data[g])
-		}
-		return
-	}
-	for g := 0; g < e.granules; g++ {
-		ln.Check[g*e.granuleWords] = e.GranuleParity(e.GranuleData(ln, g))
-	}
-}
-
 // OnStore records a write of granule g: the cache line must already hold
 // the new data; old is the granule's previous contents and wasDirty its
 // previous dirty state. The new data is folded into R1 and, if the granule
 // was dirty, the displaced old data into R2 — the read-before-write of
-// Sec. 3.1. Check bits are re-encoded and the granule marked dirty.
-//
-// oldVerified reports that the caller ran the granule through the fault
-// checker in this same access before capturing old (the controller's
-// Store/StoreSub read-before-write path). In that case the stored check
-// bits are known to equal Parity(old), and parity's linearity lets the
-// check bits be maintained incrementally: check ^= Parity(old ^ new)
-// rewrites them to exactly Parity(new) without re-deriving anything —
-// the hardware's check-bit datapath (Sec. 3.1), and the same redundant
-// re-encode that silent-write ECC work elides. When old was captured
-// without a verify (the block write-back path), the full re-encode keeps
-// the legacy semantics: a latent fault overwritten by the store is healed
-// rather than flagged on the next read.
+// Sec. 3.1. The granule is marked dirty and its check bits updated
+// (incrementally when oldVerified, see Parity.UpdateCheck).
 func (e *Engine) OnStore(set, way, g int, old []uint64, wasDirty, oldVerified bool, now uint64) {
 	pair, rot := e.geomOf(set, way, g)
 	ln := e.C.Line(set, way)
@@ -287,16 +213,7 @@ func (e *Engine) OnStore(set, way, g int, old []uint64, wasDirty, oldVerified bo
 		e.foldReg(e.r2, e.r2Par, pair, old, rot)
 	}
 	e.C.MarkDirty(set, way, g*e.granuleWords, now)
-	if oldVerified && old != nil {
-		delta := bitops.FoldLineDelta(old, data)
-		if e.Cfg.ParityDegree == 8 {
-			ln.Check[g*e.granuleWords] ^= bitops.Parity8(delta)
-		} else {
-			ln.Check[g*e.granuleWords] ^= bitops.Parity(delta, e.Cfg.ParityDegree)
-		}
-		return
-	}
-	e.EncodeCheck(set, way, g)
+	e.UpdateCheck(set, way, g, old, oldVerified)
 }
 
 // silentStore reports whether a store left the granule unchanged: every

@@ -9,8 +9,9 @@ import (
 	"cppc/internal/trace"
 )
 
-// SchemeFactory builds a protection scheme for a cache.
-type SchemeFactory func(c *cache.Cache) protect.Scheme
+// SchemeFactory is protect.Factory under the name the timing model's
+// callers use.
+type SchemeFactory = protect.Factory
 
 // Standard factories for the four evaluated schemes, at both levels.
 func Parity1DFactory() SchemeFactory {

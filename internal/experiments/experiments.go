@@ -64,22 +64,19 @@ func ParseScheme(name string) (SchemeID, error) {
 	return 0, fmt.Errorf("unknown scheme %q (want parity-1d, cppc, secded, parity-2d or cppc-silent)", name)
 }
 
-// schemeFactories returns the (L1, L2) factories for one scheme, in the
-// evaluated configurations of Sec. 6.
-func schemeFactories(id SchemeID) (l1, l2 cpu.SchemeFactory) {
-	switch id {
-	case Parity1D:
-		return cpu.Parity1DFactory(), cpu.Parity1DFactory()
-	case CPPC:
-		return cpu.CPPCFactory(core.DefaultL1Config()), cpu.CPPCFactory(core.DefaultL2Config())
-	case SECDED:
-		return cpu.SECDEDFactory(true), cpu.SECDEDFactory(true)
-	case TwoDim:
-		return cpu.TwoDimFactory(), cpu.TwoDimFactory()
-	case CPPCSilent:
-		return cpu.CPPCFactory(core.SilentL1Config()), cpu.CPPCFactory(core.SilentL2Config())
-	}
-	panic("unknown scheme")
+// schemes builds every named protection in its evaluated configuration
+// (Sec. 6) — the SchemeID names, plus the CPPC byte-shift and pair-count
+// ablations of the fault campaigns. A scheme sizes itself to its cache
+// (a CPPC register pair is one dirty granule wide), so one factory serves
+// every level.
+var schemes = map[string]protect.Factory{
+	"parity-1d":    cpu.Parity1DFactory(),
+	"parity-2d":    cpu.TwoDimFactory(),
+	"secded":       cpu.SECDEDFactory(true),
+	"cppc":         cpu.CPPCFactory(core.DefaultL1Config()),
+	"cppc-silent":  cpu.CPPCFactory(core.SilentL1Config()),
+	"cppc-noshift": cpu.CPPCFactory(core.Config{ParityDegree: 8, RegisterPairs: 1}),
+	"cppc-2pair":   cpu.CPPCFactory(core.Config{ParityDegree: 8, RegisterPairs: 2, ByteShifting: true}),
 }
 
 // isCPPC reports whether a scheme carries a CPPC engine whose event
@@ -123,8 +120,8 @@ func SimulateCtx(ctx context.Context, prof trace.Profile, id SchemeID, b Budget)
 // SimulateSourceCtx is SimulateCtx over any instruction source, e.g. a
 // recorded trace file.
 func SimulateSourceCtx(ctx context.Context, name string, src trace.Source, id SchemeID, b Budget) (Run, error) {
-	l1f, l2f := schemeFactories(id)
-	sys := cpu.NewSystem(l1f, l2f)
+	mk := schemes[id.String()]
+	sys := cpu.NewSystem(mk, mk)
 	defer sys.Release()
 	res, err := cpu.RunSourceWarmCtx(ctx, src, b.Warmup, b.Measure, sys)
 	if err != nil {

@@ -4,10 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"cppc/internal/cache"
-	"cppc/internal/core"
 	"cppc/internal/fault"
-	"cppc/internal/protect"
 	"cppc/internal/tables"
 )
 
@@ -64,29 +61,6 @@ type FieldMCCell struct {
 	Counts fault.Counts
 }
 
-// fieldFactory maps a FieldMCSchemes name to its scheme constructor.
-func fieldFactory(scheme string) (fault.SchemeFactory, error) {
-	switch scheme {
-	case "parity-1d":
-		return func(c *cache.Cache) protect.Scheme { return protect.NewParity1D(c, 8) }, nil
-	case "parity-2d":
-		return func(c *cache.Cache) protect.Scheme { return protect.NewTwoDim(c, 8) }, nil
-	case "secded":
-		return func(c *cache.Cache) protect.Scheme { return protect.NewSECDED(c, true) }, nil
-	case "cppc":
-		return func(c *cache.Cache) protect.Scheme { return protect.MustCPPC(c, core.DefaultL1Config()) }, nil
-	case "cppc-noshift":
-		return func(c *cache.Cache) protect.Scheme {
-			return protect.MustCPPC(c, core.Config{ParityDegree: 8, RegisterPairs: 1, ByteShifting: false})
-		}, nil
-	case "cppc-2pair":
-		return func(c *cache.Cache) protect.Scheme {
-			return protect.MustCPPC(c, core.Config{ParityDegree: 8, RegisterPairs: 2, ByteShifting: true})
-		}, nil
-	}
-	return nil, fmt.Errorf("fieldmc: unknown scheme %q", scheme)
-}
-
 // fieldModel translates a grid point into the fault model seam's terms.
 func fieldModel(pt FieldPoint) (fault.Model, int, error) {
 	foot, err := fault.ParseFootprint(pt.Footprint)
@@ -112,9 +86,9 @@ func fieldModel(pt FieldPoint) (fault.Model, int, error) {
 // FieldMCCellCtx runs one grid cell: `trials` populate → exercise →
 // probe lifetimes of the point's fault model under the named scheme.
 func FieldMCCellCtx(ctx context.Context, scheme string, pt FieldPoint, trials int, seed int64) (FieldMCCell, error) {
-	mk, err := fieldFactory(scheme)
-	if err != nil {
-		return FieldMCCell{}, err
+	mk, ok := schemes[scheme]
+	if !ok {
+		return FieldMCCell{}, fmt.Errorf("fieldmc: unknown scheme %q", scheme)
 	}
 	m, faults, err := fieldModel(pt)
 	if err != nil {

@@ -4,10 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"cppc/internal/cache"
-	"cppc/internal/core"
 	"cppc/internal/fault"
-	"cppc/internal/protect"
 	"cppc/internal/tables"
 )
 
@@ -33,23 +30,20 @@ type MonteCarloCell struct {
 // MonteCarloCellCtx runs one scheme's accelerated-rate campaign. scheme
 // must be one of MonteCarloSchemes.
 func MonteCarloCellCtx(ctx context.Context, scheme string, trials int, seed int64) (MonteCarloCell, error) {
-	var mk fault.SchemeFactory
 	var analytic func(fault.MCResult) float64
 	switch scheme {
 	case "parity-1d":
-		mk = func(c *cache.Cache) protect.Scheme { return protect.NewParity1D(c, 8) }
 		analytic = func(r fault.MCResult) float64 {
 			return fault.AnalyticParityMTTFAccesses(mcLambda, r.MeanDirtyBits)
 		}
 	case "cppc":
-		mk = func(c *cache.Cache) protect.Scheme { return protect.MustCPPC(c, core.DefaultL1Config()) }
 		analytic = func(r fault.MCResult) float64 {
 			return fault.AnalyticDoubleFaultMTTFAccesses(mcLambda, r.MeanDirtyBits, r.MeanTavgAccesses, 8)
 		}
 	default:
 		return MonteCarloCell{}, fmt.Errorf("montecarlo: unknown scheme %q", scheme)
 	}
-	res, err := fault.MonteCarloMTTFCtx(ctx, mk, mcLambda, trials, mcHorizon, seed)
+	res, err := fault.MonteCarloMTTFCtx(ctx, schemes[scheme], mcLambda, trials, mcHorizon, seed)
 	if err != nil {
 		return MonteCarloCell{}, err
 	}

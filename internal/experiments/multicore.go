@@ -6,33 +6,12 @@ import (
 
 	"cppc/internal/cache"
 	"cppc/internal/coherence"
-	"cppc/internal/core"
 	"cppc/internal/cpu"
 	"cppc/internal/energy"
 	"cppc/internal/protect"
 	"cppc/internal/tables"
 	"cppc/internal/trace"
 )
-
-// mpConfigs returns the multiprocessor cache geometry: per-core 32KB L1s
-// over a shared 1MB L2, both CPPC-protected.
-func mpConfigs() (l1, l2 cache.Config, err error) {
-	l1, err = cache.Config{
-		Name: "mpL1", SizeBytes: 32 << 10, Ways: 2, BlockBytes: 32,
-		DirtyGranuleWords: 1, HitLatencyCycles: 2,
-	}.Validate()
-	if err != nil {
-		return l1, l2, fmt.Errorf("multicore L1 config: %w", err)
-	}
-	l2, err = cache.Config{
-		Name: "mpL2", SizeBytes: 1 << 20, Ways: 4, BlockBytes: 32,
-		DirtyGranuleWords: 4, HitLatencyCycles: 8,
-	}.Validate()
-	if err != nil {
-		return l1, l2, fmt.Errorf("multicore L2 config: %w", err)
-	}
-	return l1, l2, nil
-}
 
 // MulticoreRun is one timed multicore cell: N OoO cores in lock step over
 // the coherent CPPC hierarchy. The struct stays comparable with == so
@@ -77,17 +56,13 @@ func MulticoreCellCtx(ctx context.Context, prof trace.Profile, cores int, shared
 	if sharedFrac < 0 || sharedFrac > 1 {
 		return MulticoreRun{}, fmt.Errorf("multicore: shared fraction %v outside [0,1]", sharedFrac)
 	}
-	l1cfg, l2cfg, err := mpConfigs()
-	if err != nil {
-		return MulticoreRun{}, err
-	}
-	l1conf, l2conf := core.DefaultL1Config(), core.DefaultL2Config()
+	// Per-core Table 1 L1s over a shared Table 1 L2, both CPPC-protected.
+	l1cfg, l2cfg := cache.L1DConfig(), cache.L2Config()
+	mk := schemes["cppc"]
 	if silent {
-		l1conf, l2conf = core.SilentL1Config(), core.SilentL2Config()
+		mk = schemes["cppc-silent"]
 	}
-	mkL1 := func(c *cache.Cache) protect.Scheme { return protect.MustCPPC(c, l1conf) }
-	mkL2 := func(c *cache.Cache) protect.Scheme { return protect.MustCPPC(c, l2conf) }
-	m := coherence.New(cores, l1cfg, l2cfg, mkL1, mkL2, 200)
+	m := coherence.New(cores, l1cfg, l2cfg, mk, mk, 200)
 	defer m.Release()
 	m.Timing = coherence.DefaultTiming()
 

@@ -7,7 +7,6 @@ import (
 
 	"cppc/internal/cache"
 	"cppc/internal/coherence"
-	"cppc/internal/core"
 	"cppc/internal/cpu"
 	"cppc/internal/protect"
 	"cppc/internal/trace"
@@ -40,13 +39,7 @@ func TestMulticoreWarmupFoldInvariance(t *testing.T) {
 	if !ok {
 		t.Fatal("gzip profile missing")
 	}
-	l1cfg, l2cfg, err := mpConfigs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mkL1 := func(c *cache.Cache) protect.Scheme { return protect.MustCPPC(c, core.DefaultL1Config()) }
-	mkL2 := func(c *cache.Cache) protect.Scheme { return protect.MustCPPC(c, core.DefaultL2Config()) }
-	m := coherence.New(cores, l1cfg, l2cfg, mkL1, mkL2, 200)
+	m := coherence.New(cores, cache.L1DConfig(), cache.L2Config(), schemes["cppc"], schemes["cppc"], 200)
 	defer m.Release()
 	m.Timing = coherence.DefaultTiming()
 	ports := make([]cpu.MemoryPort, cores)

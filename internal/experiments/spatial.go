@@ -3,8 +3,8 @@ package experiments
 import (
 	"context"
 
-	"cppc/internal/cache"
 	"cppc/internal/core"
+	"cppc/internal/cpu"
 	"cppc/internal/fault"
 	"cppc/internal/protect"
 	"cppc/internal/tables"
@@ -18,13 +18,13 @@ import (
 func SpatialCoverageCtx(ctx context.Context, trials int, seed int64) (string, error) {
 	configs := []struct {
 		name string
-		mk   fault.SchemeFactory
+		mk   protect.Factory
 	}{
-		{"cppc 1 pair + shifting", cppcF(core.Config{ParityDegree: 8, RegisterPairs: 1, ByteShifting: true})},
-		{"cppc 2 pairs + shifting", cppcF(core.Config{ParityDegree: 8, RegisterPairs: 2, ByteShifting: true})},
-		{"cppc 8 pairs, no shifting", cppcF(core.FullCorrectionConfig())},
-		{"cppc basic (no shifting)", cppcF(core.Config{ParityDegree: 8, RegisterPairs: 1, ByteShifting: false})},
-		{"parity-1d", func(c *cache.Cache) protect.Scheme { return protect.NewParity1D(c, 8) }},
+		{"cppc 1 pair + shifting", schemes["cppc"]},
+		{"cppc 2 pairs + shifting", schemes["cppc-2pair"]},
+		{"cppc 8 pairs, no shifting", cpu.CPPCFactory(core.FullCorrectionConfig())},
+		{"cppc basic (no shifting)", schemes["cppc-noshift"]},
+		{"parity-1d", schemes["parity-1d"]},
 	}
 	out := "Secs. 4.6/4.11: spatial-MBE correction rate by square size (rows = height, cols = width)\n"
 	for _, cfg := range configs {
@@ -37,18 +37,12 @@ func SpatialCoverageCtx(ctx context.Context, trials int, seed int64) (string, er
 	// SECDED lives on its physically bit-interleaved layout (8 words per
 	// row, adjacent cells from different words): an 8-wide burst becomes
 	// eight single-bit errors, each correctable per codeword.
-	m, err := fault.CoverageMatrixCfgCtx(ctx, fault.InterleavedCampaignConfig(),
-		func(c *cache.Cache) protect.Scheme { return protect.NewSECDED(c, true) },
-		8, trials, seed)
+	m, err := fault.CoverageMatrixCfgCtx(ctx, fault.InterleavedCampaignConfig(), schemes["secded"], 8, trials, seed)
 	if err != nil {
 		return "", err
 	}
 	out += "\nsecded + 8-way physical bit interleaving:\n" + fault.FormatMatrix(m)
 	return out, nil
-}
-
-func cppcF(cfg core.Config) fault.SchemeFactory {
-	return func(c *cache.Cache) protect.Scheme { return protect.MustCPPC(c, cfg) }
 }
 
 // PairAblationCtx summarizes the area/reliability trade-off of Secs. 3.4
@@ -59,7 +53,7 @@ func PairAblationCtx(ctx context.Context, trials int, seed int64) (string, error
 		"pairs", "corrected", "DUE", "SDC")
 	for _, pairs := range []int{1, 2, 4, 8} {
 		cfg := core.Config{ParityDegree: 8, RegisterPairs: pairs, ByteShifting: pairs < 8}
-		got, err := fault.RunSpatialTrialsCfgCtx(ctx, fault.CampaignCacheConfig(), cppcF(cfg), 8, 8, trials, seed)
+		got, err := fault.RunSpatialTrialsCfgCtx(ctx, fault.CampaignCacheConfig(), cpu.CPPCFactory(cfg), 8, 8, trials, seed)
 		if err != nil {
 			return "", err
 		}
@@ -76,7 +70,7 @@ func ParityAblationCtx(ctx context.Context, trials int, seed int64) (string, err
 		"degree", "corrected", "DUE", "SDC")
 	for _, degree := range []int{1, 2, 4, 8} {
 		cfg := core.Config{ParityDegree: degree, RegisterPairs: 1, ByteShifting: true}
-		got, err := fault.RunTemporalTrialsCtx(ctx, cppcF(cfg), 2, trials, seed)
+		got, err := fault.RunTemporalTrialsCtx(ctx, cpu.CPPCFactory(cfg), 2, trials, seed)
 		if err != nil {
 			return "", err
 		}

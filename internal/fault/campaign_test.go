@@ -9,25 +9,25 @@ import (
 	"cppc/internal/protect"
 )
 
-func cppcFactory(cfg core.Config) SchemeFactory {
+func cppcFactory(cfg core.Config) protect.Factory {
 	return func(c *cache.Cache) protect.Scheme { return protect.MustCPPC(c, cfg) }
 }
 
-func parityFactory() SchemeFactory {
+func parityFactory() protect.Factory {
 	return func(c *cache.Cache) protect.Scheme { return protect.NewParity1D(c, 8) }
 }
 
-func secdedFactory() SchemeFactory {
+func secdedFactory() protect.Factory {
 	return func(c *cache.Cache) protect.Scheme { return protect.NewSECDED(c, true) }
 }
 
-func twodimFactory() SchemeFactory {
+func twodimFactory() protect.Factory {
 	return func(c *cache.Cache) protect.Scheme { return protect.NewTwoDim(c, 8) }
 }
 
 // spatialTrials is RunSpatialTrialsCfgCtx without cancellation, failing
 // t on error.
-func spatialTrials(t *testing.T, ccfg cache.Config, mk SchemeFactory, h, w, trials int, seed int64) Counts {
+func spatialTrials(t *testing.T, ccfg cache.Config, mk protect.Factory, h, w, trials int, seed int64) Counts {
 	t.Helper()
 	got, err := RunSpatialTrialsCfgCtx(context.Background(), ccfg, mk, h, w, trials, seed)
 	if err != nil {
@@ -38,7 +38,7 @@ func spatialTrials(t *testing.T, ccfg cache.Config, mk SchemeFactory, h, w, tria
 
 // temporalTrials is RunTemporalTrialsCtx without cancellation, failing t
 // on error.
-func temporalTrials(t *testing.T, mk SchemeFactory, bits, trials int, seed int64) Counts {
+func temporalTrials(t *testing.T, mk protect.Factory, bits, trials int, seed int64) Counts {
 	t.Helper()
 	got, err := RunTemporalTrialsCtx(context.Background(), mk, bits, trials, seed)
 	if err != nil {
@@ -55,7 +55,7 @@ func TestOutcomeStrings(t *testing.T) {
 }
 
 func TestNoFaultMeansCorrected(t *testing.T) {
-	for _, mk := range []SchemeFactory{parityFactory(), secdedFactory(), twodimFactory(), cppcFactory(core.DefaultL1Config())} {
+	for _, mk := range []protect.Factory{parityFactory(), secdedFactory(), twodimFactory(), cppcFactory(core.DefaultL1Config())} {
 		c := cache.New(CampaignCacheConfig())
 		mem := cache.NewMemory(32, 100)
 		ct := protect.NewController(c, mk(c), mem)

@@ -6,6 +6,7 @@ import (
 
 	"cppc/internal/cache"
 	"cppc/internal/geometry"
+	"cppc/internal/protect"
 )
 
 // The FaultModel seam. The original campaigns modelled every fault the
@@ -18,7 +19,7 @@ import (
 //
 //	Transient:    the classic SEU — stored bits flip once.
 //	Intermittent: the cells flicker — every time the array is consulted
-//	              they flip again with probability Reassert.
+//	              they flip again with probability DefaultReassert.
 //	StuckAt:      the cells are dead — they read back a fixed value no
 //	              matter what correction or refetch wrote over them.
 //
@@ -36,7 +37,7 @@ const (
 	// Transient: flip once; the stored value is wrong until repaired.
 	Transient Lifetime = iota
 	// Intermittent: flip again on each array consult with probability
-	// Model.Reassert.
+	// DefaultReassert.
 	Intermittent
 	// StuckAt: the cells read back a fixed value on every consult.
 	StuckAt
@@ -118,62 +119,29 @@ func ParseFootprint(s string) (Footprint, error) {
 type Model struct {
 	Foot Footprint
 	Life Lifetime
-
-	// Reassert is the per-consult flip probability of Intermittent
-	// faults; ignored for the other lifetimes. Zero selects the default.
-	Reassert float64
-
-	// Span overrides the footprint extent: bits along the row for
-	// FootRow, rows for FootColumn, the square side for FootBank.
-	// Zero selects the class default. Ignored for FootWord.
-	Span int
 }
 
-// DefaultReassert is the intermittent flip probability when
-// Model.Reassert is zero: high enough that a flickering cell asserts
-// several times over a campaign's exercise window.
+// DefaultReassert is the per-consult flip probability of Intermittent
+// faults: high enough that a flickering cell asserts several times over
+// a campaign's exercise window.
 const DefaultReassert = 0.2
 
 func (m Model) String() string {
 	if m.Life == Intermittent {
-		return fmt.Sprintf("%s/%s(p=%g)", m.Foot, m.Life, m.reassert())
+		return fmt.Sprintf("%s/%s(p=%g)", m.Foot, m.Life, DefaultReassert)
 	}
 	return fmt.Sprintf("%s/%s", m.Foot, m.Life)
-}
-
-func (m Model) reassert() float64 {
-	if m.Reassert > 0 {
-		return m.Reassert
-	}
-	return DefaultReassert
 }
 
 // shape is the footprint's extent on a concrete array geometry.
 func (m Model) shape(geom geometry.Layout) (h, w int) {
 	switch m.Foot {
 	case FootRow:
-		w = geom.RowBits()
-		if m.Span > 0 && m.Span < w {
-			w = m.Span
-		}
-		return 1, w
+		return 1, geom.RowBits()
 	case FootColumn:
-		h = geom.Rows()
-		if m.Span > 0 && m.Span < h {
-			h = m.Span
-		}
-		return h, 1
+		return geom.Rows(), 1
 	case FootBank:
-		side := 8
-		if m.Span > 0 {
-			side = m.Span
-		}
-		if side > geom.Rows() {
-			side = geom.Rows()
-		}
-		if side > geom.RowBits() {
-			side = geom.RowBits()
-		}
+		side := min(8, geom.Rows(), geom.RowBits())
 		return side, side
 	default: // FootWord
 		return 1, 1
@@ -218,7 +186,7 @@ func (c *Campaign) InjectModel(m Model) int {
 				flipped += popcount((old ^ ln.Data[fl.Word]) & fl.Mask)
 			}
 		case Intermittent:
-			c.Ct.C.AddIntermittentFault(fl.Set, fl.Way, fl.Word, fl.Mask, m.reassert())
+			c.Ct.C.AddIntermittentFault(fl.Set, fl.Way, fl.Word, fl.Mask, DefaultReassert)
 			// The injection event itself is the first assert.
 			if c.Ct.C.Line(fl.Set, fl.Way).Valid {
 				c.Ct.C.FlipBits(fl.Set, fl.Way, fl.Word, fl.Mask)
@@ -274,7 +242,7 @@ func (c *Campaign) Exercise(m Model, faults, n, footprintBytes int) (Outcome, bo
 // hint (par.WithWorkers / experiments.WithCellWorkers). Trial i runs on
 // stream seed+i whatever the worker count, so the counts are
 // bit-identical to the sequential loop's.
-func RunModelTrialsCtx(ctx context.Context, ccfg cache.Config, mk SchemeFactory, m Model, faults, trials int, seed int64) (Counts, error) {
+func RunModelTrialsCtx(ctx context.Context, ccfg cache.Config, mk protect.Factory, m Model, faults, trials int, seed int64) (Counts, error) {
 	res, err := runTrials(ctx, trials, func(_ context.Context, a *Arena, i int) (Outcome, error) {
 		camp := a.newCampaign(ccfg, mk, seed+int64(i))
 		defer a.endTrial()

@@ -11,7 +11,7 @@ import (
 
 // modelTrials is RunModelTrialsCtx over the campaign layout without
 // cancellation, failing t on error.
-func modelTrials(t *testing.T, mk SchemeFactory, m Model, faults, trials int, seed int64) Counts {
+func modelTrials(t *testing.T, mk protect.Factory, m Model, faults, trials int, seed int64) Counts {
 	t.Helper()
 	got, err := RunModelTrialsCtx(context.Background(), CampaignCacheConfig(), mk, m, faults, trials, seed)
 	if err != nil {
@@ -51,17 +51,22 @@ func TestModelParseRoundTrip(t *testing.T) {
 // the same seed must reproduce counts exactly on any Go release, and a
 // different seed must drive a genuinely different fault sequence.
 func TestModelTrialsDeterministic(t *testing.T) {
-	m := Model{Foot: FootWord, Life: Intermittent, Reassert: 0.3}
+	m := Model{Foot: FootWord, Life: Intermittent}
 	a := modelTrials(t, parityFactory(), m, 2, 12, 7)
 	b := modelTrials(t, parityFactory(), m, 2, 12, 7)
 	if a != b {
 		t.Errorf("same seed diverged: %v vs %v", a, b)
 	}
-	// Trial i runs on seed+i, so nearby base seeds share trials; a
-	// disjoint seed window must drive a different fault sequence.
-	c := modelTrials(t, parityFactory(), m, 2, 12, 907)
-	if a == c {
-		t.Errorf("seeds 7 and 907 produced identical counts %v — rng stream suspect", a)
+	// Trial i runs on seed+i, so nearby base seeds share trials; disjoint
+	// seed windows must drive different fault sequences. A 12-trial tally
+	// takes few values, so one window may match by chance; all three
+	// matching means the stream ignores its seed.
+	moved := false
+	for _, seed := range []int64{907, 1907, 2907} {
+		moved = moved || modelTrials(t, parityFactory(), m, 2, 12, seed) != a
+	}
+	if !moved {
+		t.Errorf("seeds 907, 1907 and 2907 all reproduced seed 7's counts %v — rng stream suspect", a)
 	}
 	if got := a.Total(); got != 12 {
 		t.Errorf("counts total %d, want 12", got)

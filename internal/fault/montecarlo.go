@@ -67,7 +67,7 @@ type mcTrial struct {
 // from stream seed+i whatever the worker count, and the
 // lifetime/dirty/Tavg float accumulators replay in trial order after the
 // barrier, so the result is bit-identical to the sequential loop's.
-func MonteCarloMTTFCtx(ctx context.Context, mk SchemeFactory, lambda float64, trials, maxAccesses int, seed int64) (MCResult, error) {
+func MonteCarloMTTFCtx(ctx context.Context, mk protect.Factory, lambda float64, trials, maxAccesses int, seed int64) (MCResult, error) {
 	perTrial, err := runTrials(ctx, trials, func(tctx context.Context, a *Arena, trial int) (mcTrial, error) {
 		return a.mcTrial(tctx, mk, lambda, maxAccesses, seed+int64(trial))
 	})
@@ -101,7 +101,7 @@ func MonteCarloMTTFCtx(ctx context.Context, mk SchemeFactory, lambda float64, tr
 // reseeded in place and the golden copy emptied rather than reallocated,
 // while the cache and controller are built fresh (from the pooled
 // construction arrays) exactly as the sequential code built them.
-func (a *Arena) mcTrial(ctx context.Context, mk SchemeFactory, lambda float64, maxAccesses int, seed int64) (mcTrial, error) {
+func (a *Arena) mcTrial(ctx context.Context, mk protect.Factory, lambda float64, maxAccesses int, seed int64) (mcTrial, error) {
 	a.rng.Seed(seed)
 	rng := &a.rng
 	ccfg := CampaignCacheConfig()

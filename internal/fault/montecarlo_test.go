@@ -5,11 +5,12 @@ import (
 	"testing"
 
 	"cppc/internal/core"
+	"cppc/internal/protect"
 )
 
 // monteCarlo is MonteCarloMTTFCtx without cancellation, failing t on
 // error.
-func monteCarlo(t *testing.T, mk SchemeFactory, lambda float64, trials, maxAccesses int, seed int64) MCResult {
+func monteCarlo(t *testing.T, mk protect.Factory, lambda float64, trials, maxAccesses int, seed int64) MCResult {
 	t.Helper()
 	res, err := MonteCarloMTTFCtx(context.Background(), mk, lambda, trials, maxAccesses, seed)
 	if err != nil {

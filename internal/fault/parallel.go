@@ -62,7 +62,7 @@ var arenaPool = sync.Pool{New: func() any { return new(Arena) }}
 // newCampaign builds one trial's protected cache on the arena and
 // resets the campaign shell around it. The (32, 100) memory geometry is
 // the one every campaign in this package uses.
-func (a *Arena) newCampaign(ccfg cache.Config, mk SchemeFactory, seed int64) *Campaign {
+func (a *Arena) newCampaign(ccfg cache.Config, mk protect.Factory, seed int64) *Campaign {
 	c := cache.New(ccfg)
 	if a.mem == nil {
 		a.mem = cache.NewMemory(32, 100)

@@ -9,10 +9,6 @@ import (
 	"cppc/internal/protect"
 )
 
-// SchemeFactory builds a protection scheme over a cache (mirrors
-// cpu.SchemeFactory without importing the timing model).
-type SchemeFactory func(c *cache.Cache) protect.Scheme
-
 // Counts tallies trial outcomes.
 type Counts struct {
 	Corrected, DUE, SDC int
@@ -69,7 +65,7 @@ func InterleavedCampaignConfig() cache.Config {
 // seed+i whatever the worker count, so the counts are bit-identical to
 // the sequential loop's. A square that does not fit the physical array
 // is an error.
-func RunSpatialTrialsCfgCtx(ctx context.Context, ccfg cache.Config, mk SchemeFactory, h, w, trials int, seed int64) (Counts, error) {
+func RunSpatialTrialsCfgCtx(ctx context.Context, ccfg cache.Config, mk protect.Factory, h, w, trials int, seed int64) (Counts, error) {
 	if l := ccfg.Layout(); h < 1 || w < 1 || h > l.Rows() || w > l.RowBits() {
 		return Counts{}, fmt.Errorf("fault: a %dx%d square does not fit the %d-row x %d-bit array", h, w, l.Rows(), l.RowBits())
 	}
@@ -97,7 +93,7 @@ func RunSpatialTrialsCfgCtx(ctx context.Context, ccfg cache.Config, mk SchemeFac
 // Cancellation is polled between trials, and trials run in parallel up
 // to the context's worker hint; counts are bit-identical at any worker
 // count.
-func RunTemporalTrialsCtx(ctx context.Context, mk SchemeFactory, bits, trials int, seed int64) (Counts, error) {
+func RunTemporalTrialsCtx(ctx context.Context, mk protect.Factory, bits, trials int, seed int64) (Counts, error) {
 	res, err := runTrials(ctx, trials, func(_ context.Context, a *Arena, i int) (Outcome, error) {
 		camp := a.newCampaign(CampaignCacheConfig(), mk, seed+int64(i))
 		defer a.endTrial()
@@ -124,7 +120,7 @@ func RunTemporalTrialsCtx(ctx context.Context, mk SchemeFactory, bits, trials in
 // CoverageMatrixCfgCtx sweeps spatial squares from 1x1 to maxSize x
 // maxSize over layout ccfg and returns the per-shape counts, indexed
 // [height-1][width-1]. Cancellation is polled between trials.
-func CoverageMatrixCfgCtx(ctx context.Context, ccfg cache.Config, mk SchemeFactory, maxSize, trials int, seed int64) ([][]Counts, error) {
+func CoverageMatrixCfgCtx(ctx context.Context, ccfg cache.Config, mk protect.Factory, maxSize, trials int, seed int64) ([][]Counts, error) {
 	m := make([][]Counts, maxSize)
 	for h := 1; h <= maxSize; h++ {
 		m[h-1] = make([]Counts, maxSize)

@@ -101,10 +101,10 @@ func TestSECDEDInterface(t *testing.T) {
 		t.Error("SECDED metadata wrong")
 	}
 	w := uint64(42)
-	if c.Detects(w, c.Encode(w)) {
+	if c.Decode(w, c.Encode(w)).Outcome != SECDEDClean {
 		t.Error("clean word flagged")
 	}
-	if !c.Detects(w^1, c.Encode(w)) {
+	if c.Decode(w^1, c.Encode(w)).Outcome == SECDEDClean {
 		t.Error("flipped word not flagged")
 	}
 }

@@ -67,11 +67,6 @@ func (SECDED) Encode(w uint64) uint64 {
 	return check | uint64(overall)<<7
 }
 
-func (s SECDED) Detects(w, check uint64) bool {
-	res := s.Decode(w, check)
-	return res.Outcome != SECDEDClean
-}
-
 // SECDEDOutcome classifies a decode.
 type SECDEDOutcome int
 

@@ -8,10 +8,14 @@ import (
 	"cppc/internal/core"
 )
 
-func testCache() *cache.Cache {
+func testCache() *cache.Cache { return testCacheGranule(1) }
+
+// testCacheGranule is testCache with gw-word dirty granules: 1 is the L1
+// shape, 4 (a whole block) the L2 shape.
+func testCacheGranule(gw int) *cache.Cache {
 	cfg, err := cache.Config{
 		Name: "t", SizeBytes: 2048, Ways: 2, BlockBytes: 32,
-		DirtyGranuleWords: 1, HitLatencyCycles: 2,
+		DirtyGranuleWords: gw, HitLatencyCycles: 2,
 	}.Validate()
 	if err != nil {
 		panic(err)
@@ -29,15 +33,6 @@ func allSchemes(c *cache.Cache) []Scheme {
 }
 
 func TestKindStrings(t *testing.T) {
-	want := map[Kind]string{
-		KindParity1D: "parity-1d", KindSECDED: "secded",
-		KindTwoDim: "parity-2d", KindCPPC: "cppc", Kind(9): "unknown",
-	}
-	for k, s := range want {
-		if k.String() != s {
-			t.Errorf("%d.String() = %q", int(k), k.String())
-		}
-	}
 	fw := map[FaultStatus]string{
 		FaultNone: "none", FaultCorrectedClean: "corrected-clean",
 		FaultCorrectedDirty: "corrected-dirty", FaultDUE: "DUE",
@@ -227,7 +222,7 @@ func TestSchemeMetadata(t *testing.T) {
 	c := testCache()
 	for _, s := range allSchemes(c) {
 		if s.Name() == "" {
-			t.Errorf("%v: empty name", s.Kind())
+			t.Errorf("%T: empty name", s)
 		}
 		if s.CheckBitsPerGranule() <= 0 {
 			t.Errorf("%s: non-positive check bits", s.Name())

@@ -38,7 +38,6 @@ func MustCPPC(c *cache.Cache, cfg core.Config) *CPPCScheme {
 	return s
 }
 
-func (s *CPPCScheme) Kind() Kind { return KindCPPC }
 func (s *CPPCScheme) Name() string {
 	suffix := ""
 	if s.Engine.Cfg.SilentStoreElision {

@@ -1,6 +1,7 @@
 package protect
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -12,10 +13,56 @@ import (
 // twice testCache()'s capacity, so demand misses evict dirty victims.
 const accessFootprint = 4096
 
+// accessMode is one configuration the access-path check runs.
+type accessMode struct {
+	name         string
+	granuleWords int
+	writeThrough bool
+	mk           func(*cache.Cache) Scheme
+}
+
+// accessModes lists every scheme shape the shared parity code serves,
+// under both write policies on a word-granule (L1) and a block-granule
+// (L2) cache: parity-1d and parity-2d at every degree, CPPC at every
+// degree, pair count and byte-shifting setting, SECDED, and silent-store
+// CPPC. The evaluated degree, 8, comes first.
+var accessModes = func() []accessMode {
+	type scheme struct {
+		name string
+		mk   func(*cache.Cache) Scheme
+	}
+	var schemes []scheme
+	for _, d := range []int{8, 4, 2, 1} {
+		schemes = append(schemes,
+			scheme{fmt.Sprintf("parity-1d/d%d", d), func(c *cache.Cache) Scheme { return NewParity1D(c, d) }},
+			scheme{fmt.Sprintf("parity-2d/d%d", d), func(c *cache.Cache) Scheme { return NewTwoDim(c, d) }})
+		for _, pairs := range []int{1, 2, 4, 8} {
+			for _, shift := range []bool{true, false} {
+				cfg := core.Config{ParityDegree: d, RegisterPairs: pairs, ByteShifting: shift}
+				schemes = append(schemes, scheme{fmt.Sprintf("cppc/d%d/p%d/shift=%v", d, pairs, shift),
+					func(c *cache.Cache) Scheme { return MustCPPC(c, cfg) }})
+			}
+		}
+	}
+	schemes = append(schemes,
+		scheme{"secded", func(c *cache.Cache) Scheme { return NewSECDED(c, true) }},
+		scheme{"cppc-silent", func(c *cache.Cache) Scheme { return MustCPPC(c, core.SilentL1Config()) }})
+	var modes []accessMode
+	for _, gw := range []int{1, 4} {
+		for _, wt := range []bool{false, true} {
+			for _, s := range schemes {
+				name := fmt.Sprintf("%s gw=%d wt=%v", s.name, gw, wt)
+				modes = append(modes, accessMode{name, gw, wt, s.mk})
+			}
+		}
+	}
+	return modes
+}()
+
 // checkAccessPath runs one controller over a sequence of accesses and
-// holds it against a map of stored values. data[0] picks the scheme
-// (parity-1d, secded, parity-2d, cppc, cppc-silent) and write-back or
-// write-through; every following 4-byte group is one operation:
+// holds it against a map of stored values. data[0] picks the mode from
+// accessModes (modulo their count); every following 4-byte group is one
+// operation:
 //
 //	op      : op%5 is Load, Store, StoreSub, FlushBlock, InvalidateBlock;
 //	          (op/5)%4 picks the StoreSub size 1, 2, 4 or 8
@@ -30,27 +77,16 @@ func checkAccessPath(t *testing.T, data []byte) {
 	if len(data) == 0 {
 		return
 	}
-	c := testCache()
+	mode := accessModes[int(data[0])%len(accessModes)]
+	c := testCacheGranule(mode.granuleWords)
 	mem := cache.NewMemory(32, 100)
-	var sch Scheme
+	sch := mode.mk(c)
 	var eng *core.Engine
-	switch data[0] % 5 {
-	case 0:
-		sch = NewParity1D(c, 8)
-	case 1:
-		sch = NewSECDED(c, true)
-	case 2:
-		sch = NewTwoDim(c, 8)
-	case 3:
-		s := MustCPPC(c, core.DefaultL1Config())
-		sch, eng = s, s.Engine
-	case 4:
-		s := MustCPPC(c, core.SilentL1Config())
-		sch, eng = s, s.Engine
+	if s, ok := sch.(*CPPCScheme); ok {
+		eng = s.Engine
 	}
 	ct := NewController(c, sch, mem)
-	writeThrough := data[0]/5%2 == 1
-	ct.SetWriteThrough(writeThrough)
+	ct.SetWriteThrough(mode.writeThrough)
 
 	want := map[uint64]uint64{} // word address -> value; absent words are 0
 	var now uint64
@@ -66,8 +102,8 @@ func checkAccessPath(t *testing.T, data []byte) {
 		case 0:
 			res := ct.Load(wordAddr, now)
 			if res.Value != want[wordAddr] || res.Fault != FaultNone {
-				t.Fatalf("%v wt=%v op %d: load %#x = %#x (%v), want %#x",
-					sch.Kind(), writeThrough, now, wordAddr, res.Value, res.Fault, want[wordAddr])
+				t.Fatalf("%s op %d: load %#x = %#x (%v), want %#x",
+					mode.name, now, wordAddr, res.Value, res.Fault, want[wordAddr])
 			}
 		case 1:
 			ct.Store(wordAddr, val, now)
@@ -88,30 +124,30 @@ func checkAccessPath(t *testing.T, data []byte) {
 			ct.InvalidateBlock(addr, now)
 		}
 		if ct.Halted {
-			t.Fatalf("%v wt=%v op %d: level halted without any fault", sch.Kind(), writeThrough, now)
+			t.Fatalf("%s op %d: level halted without any fault", mode.name, now)
 		}
 		if eng != nil {
 			if err := eng.CheckInvariant(); err != nil {
-				t.Fatalf("%v wt=%v op %d: %v", sch.Kind(), writeThrough, now, err)
+				t.Fatalf("%s op %d: %v", mode.name, now, err)
 			}
 		}
-		if n := c.DirtyGranuleCount(); writeThrough && n != 0 {
-			t.Fatalf("%v wt=%v op %d: write-through level holds %d dirty granules", sch.Kind(), writeThrough, now, n)
+		if n := c.DirtyGranuleCount(); mode.writeThrough && n != 0 {
+			t.Fatalf("%s op %d: write-through level holds %d dirty granules", mode.name, now, n)
 		}
 	}
 	ct.Flush(now + 1)
 	for a := uint64(0); a < accessFootprint; a += 8 {
 		if got := mem.ReadWord(a); got != want[a] {
-			t.Fatalf("%v wt=%v: after Flush memory %#x = %#x, want %#x", sch.Kind(), writeThrough, a, got, want[a])
+			t.Fatalf("%s: after Flush memory %#x = %#x, want %#x", mode.name, a, got, want[a])
 		}
 	}
 }
 
 // TestControllerAccessPathRandom replays one long random operation
-// sequence per (scheme, write policy) pair through checkAccessPath.
+// sequence per accessModes entry through checkAccessPath.
 func TestControllerAccessPathRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for mode := 0; mode < 10; mode++ {
+	for mode := range accessModes {
 		data := make([]byte, 1+4*2000)
 		rng.Read(data)
 		data[0] = byte(mode)
@@ -121,13 +157,12 @@ func TestControllerAccessPathRandom(t *testing.T) {
 
 // FuzzControllerAccessPath is the differential check of the protected
 // access path against a map of stored values (see checkAccessPath). The
-// seed corpus is one random 32-operation sequence per (scheme, write
-// policy) pair; short seeds keep the fuzzer's minimization of each new
-// input, which re-runs it once per candidate cut, within a smoke run's
-// budget.
+// seed corpus is one random 32-operation sequence per accessModes entry;
+// short seeds keep the fuzzer's minimization of each new input, which
+// re-runs it once per candidate cut, within a smoke run's budget.
 func FuzzControllerAccessPath(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
-	for mode := 0; mode < 10; mode++ {
+	for mode := range accessModes {
 		data := make([]byte, 1+4*32)
 		rng.Read(data)
 		data[0] = byte(mode)

@@ -3,76 +3,37 @@ package protect
 import (
 	"fmt"
 
-	"cppc/internal/bitops"
 	"cppc/internal/cache"
+	"cppc/internal/core"
 )
 
-// wordParity computes degree-way interleaved parity of one word,
-// dispatching to the unrolled kernel for the paper's evaluated degree.
-func wordParity(w uint64, degree int) uint64 {
-	if degree == 8 {
-		return bitops.Parity8(w)
-	}
-	return bitops.Parity(w, degree)
-}
-
-// granuleParity computes degree-way interleaved parity over a granule.
-// Interleaved parity is linear and stripe-aligned across words, so the
-// words fold into one XOR first (multi-accumulator FoldLine, breaking
-// the serial XOR chain) and a single SWAR kernel finishes.
-func granuleParity(data []uint64, degree int) uint64 {
-	// Single-word granules skip the line fold so Parity8 can inline.
-	if len(data) == 1 && degree == 8 {
-		return bitops.Parity8(data[0])
-	}
-	return bitops.FoldLineParity(data, degree)
-}
-
-// Parity1D is the baseline: interleaved parity per granule, detection
-// only. Faults in clean data are repaired by re-fetching; faults in dirty
-// data halt the program (Sec. 1: "an exception is taken whenever a fault
-// is detected in a dirty block").
-type Parity1D struct {
-	C      *cache.Cache
-	Degree int
-}
+// Parity1D is the baseline: the interleaved parity check code per
+// granule, detection only. Faults in clean data are repaired by
+// re-fetching; faults in dirty data halt the program (Sec. 1: "an
+// exception is taken whenever a fault is detected in a dirty block").
+// OnFill and the check-bit arithmetic come from the embedded code.
+type Parity1D struct{ core.Parity }
 
 // NewParity1D attaches degree-way interleaved parity to c.
 func NewParity1D(c *cache.Cache, degree int) *Parity1D {
-	return &Parity1D{C: c, Degree: degree}
+	return &Parity1D{core.Parity{C: c, Degree: degree}}
 }
 
-func (p *Parity1D) Kind() Kind { return KindParity1D }
 func (p *Parity1D) Name() string {
 	return fmt.Sprintf("parity-1d-%dway", p.Degree)
 }
-func (p *Parity1D) CheckBitsPerGranule() int { return p.Degree }
-func (p *Parity1D) BitlineFactor() float64   { return 1 }
-func (p *Parity1D) FillNeedsOldLine() bool   { return false }
+func (p *Parity1D) CheckBitsPerGranule() int             { return p.Degree }
+func (p *Parity1D) BitlineFactor() float64               { return 1 }
+func (p *Parity1D) FillNeedsOldLine() bool               { return false }
+func (p *Parity1D) StoreNeedsOldData(int, int, int) bool { return false }
 
-func (p *Parity1D) granule(set, way, g int) []uint64 {
-	gw := p.C.Cfg.DirtyGranuleWords
-	return p.C.Line(set, way).Data[g*gw : (g+1)*gw]
-}
-
-func (p *Parity1D) encode(set, way, g int) {
-	gw := p.C.Cfg.DirtyGranuleWords
-	p.C.Line(set, way).Check[g*gw] = granuleParity(p.granule(set, way, g), p.Degree)
-}
-
-func (p *Parity1D) OnFill(set, way int) {
-	for g := 0; g < p.C.Granules(); g++ {
-		p.encode(set, way, g)
-	}
-}
-
+// VerifyGranule reports a clean granule, a clean fault to refetch, or a
+// DUE for a fault in dirty data.
 func (p *Parity1D) VerifyGranule(set, way, g int, _ uint64) (FaultStatus, bool) {
-	gw := p.C.Cfg.DirtyGranuleWords
-	ln := p.C.Line(set, way)
-	if ln.Check[g*gw] == granuleParity(p.granule(set, way, g), p.Degree) {
+	if p.CheckSyndrome(set, way, g) == 0 {
 		return FaultNone, false
 	}
-	if ln.Dirty[g] {
+	if p.C.Line(set, way).Dirty[g] {
 		return FaultDUE, false
 	}
 	return FaultCorrectedClean, true
@@ -81,42 +42,26 @@ func (p *Parity1D) VerifyGranule(set, way, g int, _ uint64) (FaultStatus, bool) 
 // VerifyLineClean implements LineVerifier: every granule's stored parity
 // matches a recompute.
 func (p *Parity1D) VerifyLineClean(set, way int) bool {
-	gw := p.C.Cfg.DirtyGranuleWords
-	ln := p.C.Line(set, way)
-	for g := 0; g < p.C.Granules(); g++ {
-		if ln.Check[g*gw] != granuleParity(ln.Data[g*gw:(g+1)*gw], p.Degree) {
-			return false
-		}
-	}
-	return true
+	return p.LineSyndromeOr(set, way) == 0
 }
 
-func (p *Parity1D) StoreNeedsOldData(int, int, int) bool { return false }
-
-func (p *Parity1D) OnStore(set, way, g int, _ []uint64, _, _ bool, now uint64) {
-	gw := p.C.Cfg.DirtyGranuleWords
-	p.C.MarkDirty(set, way, g*gw, now)
-	p.encode(set, way, g)
+func (p *Parity1D) OnStore(set, way, g int, old []uint64, _, oldVerified bool, now uint64) {
+	p.C.MarkDirty(set, way, g*p.C.GranuleWords(), now)
+	p.UpdateCheck(set, way, g, old, oldVerified)
 }
 
+// OnEvict marks the line clean: detection-only parity has nothing to
+// fold and no dirty bookkeeping beyond the bits themselves.
 func (p *Parity1D) OnEvict(set, way int, _ uint64) {
-	// Detection-only: nothing to fold; dirty bits are cleared by the
-	// controller's install/invalidate.
-	ln := p.C.Line(set, way)
-	for g := range ln.Dirty {
+	for g := range p.C.Line(set, way).Dirty {
 		p.C.MarkClean(set, way, g)
 	}
 }
 
 // OnRefetchGranule re-encodes parity for the refreshed granule.
 func (p *Parity1D) OnRefetchGranule(set, way, g int, _ []uint64) {
-	p.encode(set, way, g)
+	p.EncodeCheck(set, way, g)
 }
 
-// OnDowngrade marks the line clean; detection-only parity has no dirty
-// bookkeeping beyond the bits themselves.
-func (p *Parity1D) OnDowngrade(set, way int, _ uint64) {
-	for g := range p.C.Line(set, way).Dirty {
-		p.C.MarkClean(set, way, g)
-	}
-}
+// OnDowngrade is OnEvict: the line only stops being dirty.
+func (p *Parity1D) OnDowngrade(set, way int, now uint64) { p.OnEvict(set, way, now) }

@@ -8,37 +8,7 @@
 // protection scheme, as in the paper's two-level evaluations.
 package protect
 
-// Kind enumerates the evaluated schemes.
-type Kind int
-
-const (
-	// KindParity1D: interleaved parity, detection only; dirty faults are
-	// fatal (the baseline of Figs. 10-12 and Table 3).
-	KindParity1D Kind = iota
-	// KindSECDED: word-level SECDED with 8-way physical bit interleaving
-	// at L1, block-level SECDED at L2.
-	KindSECDED
-	// KindTwoDim: 8-way horizontal interleaved parity plus one vertical
-	// parity row for the whole cache; read-before-write on every store
-	// and every miss.
-	KindTwoDim
-	// KindCPPC: the paper's scheme.
-	KindCPPC
-)
-
-func (k Kind) String() string {
-	switch k {
-	case KindParity1D:
-		return "parity-1d"
-	case KindSECDED:
-		return "secded"
-	case KindTwoDim:
-		return "parity-2d"
-	case KindCPPC:
-		return "cppc"
-	}
-	return "unknown"
-}
+import "cppc/internal/cache"
 
 // EventResetter is implemented by schemes that accumulate engine event
 // counters (CPPC's fold/recovery counts). ResetEvents zeroes them at a
@@ -79,9 +49,6 @@ func (f FaultStatus) String() string {
 	return "unknown"
 }
 
-// Scheme is one protection policy attached to a cache. The Controller
-// calls the hooks; set/way/granule coordinates refer to the controller's
-// cache.
 // LineVerifier is an optional Scheme extension: schemes whose granule
 // verify is a pure syndrome check can prove a whole clean line verifies
 // in one pass, letting the controller's block-fetch path skip the
@@ -92,8 +59,10 @@ type LineVerifier interface {
 	VerifyLineClean(set, way int) bool
 }
 
+// Scheme is one protection policy attached to a cache. The Controller
+// calls the hooks; set/way/granule coordinates refer to the controller's
+// cache.
 type Scheme interface {
-	Kind() Kind
 	Name() string
 
 	// CheckBitsPerGranule is the stored check-bit overhead per dirty
@@ -113,7 +82,8 @@ type Scheme interface {
 	VerifyGranule(set, way, g int, now uint64) (status FaultStatus, needRefetch bool)
 
 	// StoreNeedsOldData reports whether a store to granule g must first
-	// read the old contents (the read-before-write).
+	// read the old contents (the read-before-write). The port planner
+	// (PlanStoreRBW) asks it too, to book the read-port slot.
 	StoreNeedsOldData(set, way, g int) bool
 
 	// OnStore is called after the cache line holds the new data; old is
@@ -123,12 +93,8 @@ type Scheme interface {
 	// the call: schemes must fold or copy it before returning.
 	//
 	// oldVerified reports that the granule passed the fault checker in
-	// this same access, after which old was captured (the word-store
-	// read-before-write path): the stored check bits are then known
-	// consistent with old, which lets schemes maintain them incrementally
-	// (check ^= Parity(old^new)) instead of re-walking the granule. It is
-	// false on the block write-back path, where old is captured without a
-	// verify.
+	// this same access before old was captured; false on the block
+	// write-back path (see core.Parity.UpdateCheck).
 	OnStore(set, way, g int, old []uint64, wasDirty, oldVerified bool, now uint64)
 
 	// OnEvict is called before a block leaves the cache (write-back or
@@ -151,3 +117,6 @@ type Scheme interface {
 	// victim line in its entirety (two-dimensional parity, Sec. 2).
 	FillNeedsOldLine() bool
 }
+
+// Factory builds a protection scheme over a cache.
+type Factory func(c *cache.Cache) Scheme

@@ -26,7 +26,6 @@ func NewSECDED(c *cache.Cache, interleaved bool) *SECDEDScheme {
 	}
 }
 
-func (s *SECDEDScheme) Kind() Kind               { return KindSECDED }
 func (s *SECDEDScheme) Name() string             { return s.code.Name() }
 func (s *SECDEDScheme) CheckBitsPerGranule() int { return s.code.CheckBits() }
 func (s *SECDEDScheme) BitlineFactor() float64 {
@@ -102,9 +101,5 @@ func (s *SECDEDScheme) OnRefetchGranule(set, way, g int, _ []uint64) {
 	s.encode(s.C.Line(set, way), g)
 }
 
-// OnDowngrade marks the line clean.
-func (s *SECDEDScheme) OnDowngrade(set, way int, _ uint64) {
-	for g := range s.C.Line(set, way).Dirty {
-		s.C.MarkClean(set, way, g)
-	}
-}
+// OnDowngrade is OnEvict: the line only stops being dirty.
+func (s *SECDEDScheme) OnDowngrade(set, way int, now uint64) { s.OnEvict(set, way, now) }

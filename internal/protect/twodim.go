@@ -9,96 +9,70 @@ import (
 )
 
 // TwoDim is the two-dimensional parity cache of Kim et al. [12] in the
-// configuration the paper evaluates: 8-way horizontal interleaved parity
-// per granule for detection, plus a single vertical parity row (the XOR of
-// every valid word in the cache) for correction.
+// configuration the paper evaluates: the detection-only interleaved
+// parity of Parity1D (8-way per granule), plus a single vertical parity
+// row (the XOR of every valid word in the cache) for correction. Each
+// override updates the vertical row, then defers to Parity1D; OnDowngrade
+// is inherited, because a downgraded line's words stay in the row.
 //
 // Keeping the vertical row current costs a read-before-write on every
 // store and a whole-line read on every miss fill — the energy overheads of
 // Figs. 11 and 12.
 type TwoDim struct {
-	C      *cache.Cache
-	Degree int
-	V      parity.Vertical
+	Parity1D
+	V parity.Vertical
 }
 
 // NewTwoDim attaches two-dimensional parity to c.
 func NewTwoDim(c *cache.Cache, degree int) *TwoDim {
-	return &TwoDim{C: c, Degree: degree}
+	return &TwoDim{Parity1D: *NewParity1D(c, degree)}
 }
 
-func (t *TwoDim) Kind() Kind               { return KindTwoDim }
-func (t *TwoDim) Name() string             { return fmt.Sprintf("parity-2d-%dway", t.Degree) }
-func (t *TwoDim) CheckBitsPerGranule() int { return t.Degree }
-func (t *TwoDim) BitlineFactor() float64   { return 1 }
-func (t *TwoDim) FillNeedsOldLine() bool   { return true }
-
-func (t *TwoDim) granule(set, way, g int) []uint64 {
-	gw := t.C.Cfg.DirtyGranuleWords
-	return t.C.Line(set, way).Data[g*gw : (g+1)*gw]
-}
-
-func (t *TwoDim) encode(set, way, g int) {
-	gw := t.C.Cfg.DirtyGranuleWords
-	t.C.Line(set, way).Check[g*gw] = granuleParity(t.granule(set, way, g), t.Degree)
-}
-
-// OnFill inserts the new line's words into the vertical row and encodes
-// horizontal parity. The departing line's words were removed by OnEvict.
-func (t *TwoDim) OnFill(set, way int) {
-	ln := t.C.Line(set, way)
-	for _, w := range ln.Data {
-		t.V.Insert(w)
-	}
-	for g := 0; g < t.C.Granules(); g++ {
-		t.encode(set, way, g)
-	}
-}
-
-// OnEvict removes every word of the departing line from the vertical row.
-func (t *TwoDim) OnEvict(set, way int, _ uint64) {
-	ln := t.C.Line(set, way)
-	for _, w := range ln.Data {
-		t.V.Remove(w)
-	}
-	for g := range ln.Dirty {
-		t.C.MarkClean(set, way, g)
-	}
-}
+func (t *TwoDim) Name() string           { return fmt.Sprintf("parity-2d-%dway", t.Degree) }
+func (t *TwoDim) FillNeedsOldLine() bool { return true }
 
 // StoreNeedsOldData: the defining cost — every store reads the old data
 // first so the vertical row can be updated.
 func (t *TwoDim) StoreNeedsOldData(int, int, int) bool { return true }
 
-func (t *TwoDim) OnStore(set, way, g int, old []uint64, _, oldVerified bool, now uint64) {
-	gw := t.C.Cfg.DirtyGranuleWords
-	data := t.granule(set, way, g)
-	for j := range data {
-		t.V.Write(old[j], data[j])
+// OnFill inserts the new line's words into the vertical row and encodes
+// horizontal parity. The departing line's words were removed by OnEvict.
+func (t *TwoDim) OnFill(set, way int) {
+	for _, w := range t.C.Line(set, way).Data {
+		t.V.Insert(w)
 	}
-	t.C.MarkDirty(set, way, g*gw, now)
-	if oldVerified {
-		// The read-before-write just verified the granule, so the stored
-		// check bits equal granuleParity(old) and can be maintained
-		// incrementally; see Scheme.OnStore.
-		delta := bitops.FoldLineDelta(old, data)
-		t.C.Line(set, way).Check[g*gw] ^= wordParity(delta, t.Degree)
-		return
+	t.Parity1D.OnFill(set, way)
+}
+
+// OnEvict removes every word of the departing line from the vertical row.
+func (t *TwoDim) OnEvict(set, way int, now uint64) {
+	for _, w := range t.C.Line(set, way).Data {
+		t.V.Remove(w)
 	}
-	t.encode(set, way, g)
+	t.Parity1D.OnEvict(set, way, now)
+}
+
+func (t *TwoDim) OnStore(set, way, g int, old []uint64, wasDirty, oldVerified bool, now uint64) {
+	t.swapVertical(set, way, g, old)
+	t.Parity1D.OnStore(set, way, g, old, wasDirty, oldVerified, now)
+}
+
+// swapVertical replaces granule g's old words by its resident ones in
+// the vertical row.
+func (t *TwoDim) swapVertical(set, way, g int, old []uint64) {
+	for j, w := range t.GranuleData(t.C.Line(set, way), g) {
+		t.V.Write(old[j], w)
+	}
 }
 
 // VerifyGranule: horizontal parity detects; a clean faulty granule is
-// re-fetched; a dirty one is reconstructed from the vertical row, which
-// works for exactly one faulty word in the whole cache.
-func (t *TwoDim) VerifyGranule(set, way, g int, _ uint64) (FaultStatus, bool) {
-	gw := t.C.Cfg.DirtyGranuleWords
-	ln := t.C.Line(set, way)
-	if ln.Check[g*gw] == granuleParity(t.granule(set, way, g), t.Degree) {
-		return FaultNone, false
-	}
-	if !ln.Dirty[g] {
-		return FaultCorrectedClean, true
+// re-fetched; a dirty one, which Parity1D would declare a DUE, is
+// reconstructed from the vertical row, which works for exactly one
+// faulty word in the whole cache.
+func (t *TwoDim) VerifyGranule(set, way, g int, now uint64) (FaultStatus, bool) {
+	status, needRefetch := t.Parity1D.VerifyGranule(set, way, g, now)
+	if status != FaultDUE {
+		return status, needRefetch
 	}
 	if t.reconstruct(set, way, g) {
 		return FaultCorrectedDirty, false
@@ -112,17 +86,16 @@ func (t *TwoDim) VerifyGranule(set, way, g int, _ uint64) (FaultStatus, bool) {
 // vertical row insufficient), then tries each word of the granule as the
 // faulty one and accepts the unique candidate that restores parity.
 func (t *TwoDim) reconstruct(set, way, g int) bool {
-	gw := t.C.Cfg.DirtyGranuleWords
-	target := t.C.Line(set, way)
+	gw := t.C.GranuleWords()
 	secondFault := false
 	var othersXor uint64
 	t.C.ForEachValid(func(s, w int, ln *cache.Line) {
 		for gg := 0; gg < t.C.Granules(); gg++ {
-			data := ln.Data[gg*gw : (gg+1)*gw]
 			if s == set && w == way && gg == g {
 				continue // target granule handled per candidate below
 			}
-			if ln.Check[gg*gw] != granuleParity(data, t.Degree) {
+			data := t.GranuleData(ln, gg)
+			if ln.Check[gg*gw] != t.GranuleParity(data) {
 				secondFault = true
 			}
 			othersXor ^= bitops.FoldLine(data)
@@ -132,7 +105,8 @@ func (t *TwoDim) reconstruct(set, way, g int) bool {
 		return false
 	}
 
-	data := t.granule(set, way, g)
+	target := t.C.Line(set, way)
+	data := t.GranuleData(target, g)
 	stored := target.Check[g*gw]
 	corrected := -1
 	var value uint64
@@ -145,7 +119,7 @@ func (t *TwoDim) reconstruct(set, way, g int) bool {
 		// Accept if replacing the candidate restores horizontal parity.
 		saved := data[cand]
 		data[cand] = rec
-		ok := granuleParity(data, t.Degree) == stored
+		ok := t.GranuleParity(data) == stored
 		data[cand] = saved
 		if ok && rec != saved {
 			if corrected >= 0 {
@@ -165,17 +139,6 @@ func (t *TwoDim) reconstruct(set, way, g int) bool {
 // refreshed ones in the vertical parity row and re-encodes the
 // horizontal parity.
 func (t *TwoDim) OnRefetchGranule(set, way, g int, old []uint64) {
-	data := t.granule(set, way, g)
-	for j := range data {
-		t.V.Write(old[j], data[j])
-	}
-	t.encode(set, way, g)
-}
-
-// OnDowngrade marks the line clean; the vertical row keeps covering the
-// still-resident words.
-func (t *TwoDim) OnDowngrade(set, way int, _ uint64) {
-	for g := range t.C.Line(set, way).Dirty {
-		t.C.MarkClean(set, way, g)
-	}
+	t.swapVertical(set, way, g, old)
+	t.Parity1D.OnRefetchGranule(set, way, g, old)
 }

@@ -46,7 +46,7 @@ func TestWriteThroughSubWordStores(t *testing.T) {
 		mem := cache.NewMemory(32, 100)
 		ct := NewController(c, mk(c), mem)
 		ct.SetWriteThrough(true)
-		name := ct.Scheme.Kind()
+		name := ct.Scheme.Name()
 		var now uint64
 		want := uint64(0x1122_3344_5566_7788)
 		now++
