@@ -2,9 +2,9 @@
 // measures the figure pipelines and protection hot paths with
 // testing.Benchmark, compares the results against the newest committed
 // BENCH_<n>.json, and fails (exit 1) when any entry regresses beyond the
-// tolerance — in ns/op, or at all in allocs/op for the allocation-free
-// paths. With -write it records a new BENCH_<n+1>.json to become the next
-// baseline.
+// tolerance in ns/op, or beyond a small fixed allowance in allocs/op
+// (none for the allocation-free paths). With -write it records a new
+// BENCH_<n+1>.json to become the next baseline.
 //
 //	go run ./cmd/bench                 # compare against the latest BENCH_<n>.json
 //	go run ./cmd/bench -tolerance 0.5  # looser gate (noisy CI runners)
@@ -410,9 +410,9 @@ func measure() map[string]Result {
 	return out
 }
 
-// compare reports every regression of cur vs base beyond tol (fractional,
-// e.g. 0.25 = +25%). Alloc counts are gated with the same rule, which for
-// a zero-alloc baseline means any allocation at all fails.
+// compare reports every ns/op regression of cur vs base beyond tol
+// (fractional, e.g. 0.25 = +25%) and every allocs/op rise beyond
+// allocSlack, which tol does not loosen.
 func compare(base, cur map[string]Result, tol float64) []string {
 	var bad []string
 	names := make([]string, 0, len(base))
@@ -431,12 +431,24 @@ func compare(base, cur map[string]Result, tol float64) []string {
 			bad = append(bad, fmt.Sprintf("%s: %.1f ns/op vs baseline %.1f (+%.0f%%, tolerance %.0f%%)",
 				name, c.NsPerOp, b.NsPerOp, 100*(c.NsPerOp/b.NsPerOp-1), 100*tol))
 		}
-		if float64(c.AllocsPerOp) > float64(b.AllocsPerOp)*(1+tol) {
-			bad = append(bad, fmt.Sprintf("%s: %d allocs/op vs baseline %d",
-				name, c.AllocsPerOp, b.AllocsPerOp))
+		if slack := allocSlack(b.AllocsPerOp); c.AllocsPerOp > b.AllocsPerOp+slack {
+			bad = append(bad, fmt.Sprintf("%s: %d allocs/op vs baseline %d (allowance %d)",
+				name, c.AllocsPerOp, b.AllocsPerOp, slack))
 		}
 	}
 	return bad
+}
+
+// allocSlack is how far allocs/op may rise over a baseline of base. A
+// zero baseline is exact: the allocation-free paths fail on the first
+// stray allocation. Any other may rise by max(4, 5%), which covers the
+// run-to-run jitter of pooled arrays seen so far (Figure10CPI 281-294,
+// MulticoreEnergy 56-59, CellStoreDiskPut 16 against 15).
+func allocSlack(base int64) int64 {
+	if base == 0 {
+		return 0
+	}
+	return max(4, base/20)
 }
 
 // deltaTable renders every baseline benchmark's baseline/current numbers

@@ -39,9 +39,9 @@ import (
 func main() {
 	var (
 		addr      = flag.String("addr", ":8322", "listen address")
-		workers   = flag.Int("workers", 0, "concurrent jobs (0 = GOMAXPROCS)")
-		queue     = flag.Int("queue", 64, "queued jobs beyond the running ones")
-		cacheSz   = flag.Int("cache", 256, "retained results in the content-addressed cache")
+		workers   = flag.Int("workers", 0, "concurrent cells (0 = GOMAXPROCS)")
+		queue     = flag.Int("queue", 64, "jobs whose cells still wait for a worker")
+		cacheSz   = flag.Int("cache", 256, "retained finished jobs; a done one answers resubmissions of its spec")
 		drain     = flag.Duration("drain", 2*time.Minute, "max time to drain in-flight jobs on shutdown")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
 

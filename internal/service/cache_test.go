@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -10,41 +9,6 @@ import (
 	"cppc/internal/energy"
 	"cppc/internal/experiments"
 )
-
-// TestResultCacheBound pins the eviction rule on the job cache: FIFO,
-// never over the bound, and — the shrinking-working-set edge — a cache
-// that finds itself over a (reduced) bound drains back under it on the
-// next put instead of growing unbounded forever.
-func TestResultCacheBound(t *testing.T) {
-	c := newResultCache(3)
-	for i := 0; i < 10; i++ {
-		c.put(fmt.Sprintf("h%d", i), &Result{Kind: "simulate"})
-	}
-	if _, _, entries := c.stats(); entries != 3 {
-		t.Fatalf("entries = %d, want 3", entries)
-	}
-	for i := 0; i < 7; i++ {
-		if _, ok := c.get(fmt.Sprintf("h%d", i)); ok {
-			t.Fatalf("entry h%d not FIFO-evicted", i)
-		}
-	}
-	for i := 7; i < 10; i++ {
-		if _, ok := c.get(fmt.Sprintf("h%d", i)); !ok {
-			t.Fatalf("recent entry h%d evicted", i)
-		}
-	}
-
-	// Shrink the bound under a full cache: the next put must evict down
-	// to the new limit, not stop at one.
-	c.max = 1
-	c.put("h99", &Result{Kind: "simulate"})
-	if _, _, entries := c.stats(); entries > 1 {
-		t.Fatalf("entries = %d after bound shrank to 1", entries)
-	}
-	if _, ok := c.get("h99"); !ok {
-		t.Fatalf("newest entry evicted instead of oldest")
-	}
-}
 
 // cellKinds lists the kinds a planned cell can have.
 var cellKinds = []string{KindSimulate, KindMulticore, KindL3, KindMonteCarlo, KindFieldMC}

@@ -53,10 +53,9 @@ type Job struct {
 	Version int `json:"version"`
 
 	result *Result
+	seq    int // submission number, the order Jobs lists in
 
 	// done is closed at the job's terminal transition; Run waits on it.
-	// It stays nil for a job the caches answered at submit, which is
-	// terminal before anyone could wait.
 	done chan struct{}
 
 	// Shard bookkeeping, owned by the Service. plan holds the job's

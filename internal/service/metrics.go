@@ -8,7 +8,7 @@ import (
 )
 
 // Metrics is the GET /metrics payload: queue pressure, worker
-// utilization, cache effectiveness (whole jobs and individual cells),
+// utilization, cache effectiveness (the job table and the cell store),
 // shard scheduler gauges and cell latency, all since startup.
 type Metrics struct {
 	UptimeSec float64 `json:"uptime_sec"`
@@ -20,6 +20,8 @@ type Metrics struct {
 	QueueDepth    int `json:"queue_depth"` // jobs with cells still awaiting a worker
 	QueueCapacity int `json:"queue_capacity"`
 
+	// Job counters cover registered jobs. A submission the job table
+	// answers registers none and counts only in CacheHits.
 	JobsSubmitted int            `json:"jobs_submitted"`
 	JobsRunning   int            `json:"jobs_running"`
 	JobsCompleted int            `json:"jobs_completed"`
@@ -45,6 +47,9 @@ type Metrics struct {
 	TrialsExecuted int64 `json:"trials_executed"`
 	TrialWorkers   int64 `json:"trial_workers"`
 
+	// The job cache is the job table: a hit is a submission a retained
+	// done job answered, and CacheEntries counts the specs those jobs
+	// answer.
 	CacheHits    uint64  `json:"cache_hits"`
 	CacheMisses  uint64  `json:"cache_misses"`
 	CacheHitRate float64 `json:"cache_hit_rate"`
@@ -71,7 +76,6 @@ type Metrics struct {
 
 // Metrics snapshots the counters.
 func (s *Service) Metrics() Metrics {
-	hits, misses, entries := s.cache.stats()
 	tiers := s.store.Stats()
 	var cHits, cMisses uint64
 	var cEntries int
@@ -105,9 +109,9 @@ func (s *Service) Metrics() Metrics {
 		CellsExecuted:    s.cellsExecuted,
 		TrialsExecuted:   fault.TrialsExecuted(),
 		TrialWorkers:     fault.TrialWorkers(),
-		CacheHits:        hits,
-		CacheMisses:      misses,
-		CacheEntries:     entries,
+		CacheHits:        s.cacheHits,
+		CacheMisses:      s.cacheMisses,
+		CacheEntries:     len(s.byHash),
 		CellCacheHits:    cHits,
 		CellCacheMisses:  cMisses,
 		CellCacheEntries: cEntries,
@@ -125,8 +129,8 @@ func (s *Service) Metrics() Metrics {
 			m.JobsRunning++
 		}
 	}
-	if total := hits + misses; total > 0 {
-		m.CacheHitRate = float64(hits) / float64(total)
+	if total := m.CacheHits + m.CacheMisses; total > 0 {
+		m.CacheHitRate = float64(m.CacheHits) / float64(total)
 	}
 	if total := cHits + cMisses; total > 0 {
 		m.CellCacheHitRate = float64(cHits) / float64(total)

@@ -3,6 +3,7 @@ package service_test
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -78,9 +79,11 @@ func TestRunCacheHitDoesNotBlock(t *testing.T) {
 	if hit.Artifacts["sec7"] != first.Artifacts["sec7"] {
 		t.Fatal("cache hit returned a different report")
 	}
-	jobs := s.Jobs()
-	if last := jobs[len(jobs)-1]; !last.CacheHit || last.State != service.StateDone {
-		t.Fatalf("second Run job = %+v, want a synchronous cache hit", last)
+	if jobs := s.Jobs(); len(jobs) != 1 {
+		t.Fatalf("the hit registered a job: %d jobs, want 1", len(jobs))
+	}
+	if hits := s.Metrics().CacheHits; hits != 1 {
+		t.Fatalf("cache_hits = %d after the hit, want 1", hits)
 	}
 
 	// A miss under the same ended context is canceled, not run.
@@ -152,5 +155,77 @@ func TestRunConcurrentSameSpec(t *testing.T) {
 	}
 	if m, cells := s.Metrics(), len(experiments.Section7Points()); m.CellsExecuted != cells {
 		t.Fatalf("%d callers executed %d cells, want the sweep's %d once each", callers, m.CellsExecuted, cells)
+	}
+}
+
+// TestRunAfterEviction runs specs on a table that retains one finished
+// job, so each finish evicts the job before it, possibly before that
+// job's Run has read it. Every Run still returns its own spec's result:
+// a miss from the job it waited on, an evicted spec through the cell
+// store, a retained one from the hit's snapshot.
+func TestRunAfterEviction(t *testing.T) {
+	s := service.New(service.Config{Workers: 2, CacheSize: 1})
+	defer shutdown(t, s)
+	var specs []service.JobSpec
+	for _, bench := range []string{"gzip", "mcf", "vpr", "gcc"} {
+		specs = append(specs, service.JobSpec{Kind: "simulate", Bench: bench, Scheme: "cppc",
+			Warmup: tinyWarmup, Measure: tinyMeasure})
+	}
+
+	first := make([]*service.Result, len(specs))
+	var wg sync.WaitGroup
+	for i, spec := range specs {
+		wg.Add(1)
+		go func(i int, spec service.JobSpec) {
+			defer wg.Done()
+			res, err := s.Run(context.Background(), spec)
+			if err != nil {
+				t.Errorf("%s: %v", spec.Bench, err)
+				return
+			}
+			first[i] = res
+		}(i, spec)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for i, res := range first {
+		if !strings.HasPrefix(res.Artifacts["summary"], specs[i].Bench+"/cppc:") {
+			t.Fatalf("Run(%s) returned %q", specs[i].Bench, res.Artifacts["summary"])
+		}
+	}
+	if jobs := s.Jobs(); len(jobs) != 1 {
+		t.Fatalf("table holds %d jobs, want 1", len(jobs))
+	}
+
+	// The table now holds whichever job finished last. A pass over the
+	// specs in order leaves the last spec's job, so the next pass finds
+	// every spec evicted and answers it from the cell store, and a final
+	// Run of the last spec hits the table.
+	run := func(i int) {
+		t.Helper()
+		res, err := s.Run(context.Background(), specs[i])
+		if err != nil {
+			t.Fatalf("%s: %v", specs[i].Bench, err)
+		}
+		if res.Artifacts["summary"] != first[i].Artifacts["summary"] {
+			t.Fatalf("%s: %q, want %q", specs[i].Bench, res.Artifacts["summary"], first[i].Artifacts["summary"])
+		}
+	}
+	for i := range specs {
+		run(i)
+	}
+	m0 := s.Metrics()
+	for i := range specs {
+		run(i)
+	}
+	if m := s.Metrics(); m.CacheHits != m0.CacheHits || m.CellsExecuted != m0.CellsExecuted {
+		t.Fatalf("evicted specs: %d hits, %d cells executed; want both 0",
+			m.CacheHits-m0.CacheHits, m.CellsExecuted-m0.CellsExecuted)
+	}
+	run(len(specs) - 1)
+	if hits := s.Metrics().CacheHits; hits != m0.CacheHits+1 {
+		t.Fatalf("retained spec: %d hits, want 1", hits-m0.CacheHits)
 	}
 }

@@ -8,10 +8,13 @@ import (
 	"time"
 )
 
-// Server is the HTTP front-end over a Service.
+// Server is the HTTP front-end over a Service. The job table keeps every
+// queued or running job and the last Config.CacheSize finished ones; an
+// evicted job's ID answers 404 on every /jobs/{id} route.
 //
-//	POST   /jobs             submit a JobSpec; 202 + job snapshot (200 on cache hit)
-//	GET    /jobs             list all jobs
+//	POST   /jobs             submit a JobSpec; 202 + job snapshot, or 200 + cache_hit
+//	                         (a retained finished job's snapshot, its ID included)
+//	GET    /jobs             list the retained jobs in submission order
 //	GET    /jobs/{id}        one job's status
 //	GET    /jobs/{id}/result finished job's Result
 //	GET    /jobs/{id}/events server-sent events: a status snapshot per change
@@ -131,9 +134,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // handleEvents streams job snapshots as server-sent events until the job
 // reaches a terminal state or the client goes away. Each event carries
 // the full status JSON; a snapshot is emitted only when Version moves.
+// The stream follows the job itself, so it ends with the terminal
+// snapshot even when the table evicts the job between two polls.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if _, err := s.svc.Job(id); err != nil {
+	live, err := s.svc.watch(r.PathValue("id"))
+	if err != nil {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
@@ -150,10 +155,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	ticker := time.NewTicker(s.eventPoll)
 	defer ticker.Stop()
 	for {
-		job, err := s.svc.Job(id)
-		if err != nil {
-			return
-		}
+		job := s.svc.snapshot(live)
 		if job.Version != lastVersion {
 			lastVersion = job.Version
 			raw, _ := json.Marshal(job)

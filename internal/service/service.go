@@ -1,10 +1,12 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -15,14 +17,13 @@ import (
 
 // Config sizes the daemon.
 type Config struct {
-	Workers       int // concurrent cells; <= 0 means runtime.GOMAXPROCS(0)
-	QueueSize     int // jobs with cells still awaiting a worker; <= 0 means 64
-	CacheSize     int // retained job results; <= 0 means 256
-	CellCacheSize int // retained cell results when Store is nil; <= 0 means 1024
+	Workers   int // concurrent cells; <= 0 means runtime.GOMAXPROCS(0)
+	QueueSize int // jobs with cells still awaiting a worker; <= 0 means 64
+	CacheSize int // retained finished jobs; a done one answers its spec; <= 0 means 256
 
 	// Store is the composed cell-result store the scheduler reads and
 	// writes through (memory tier, optionally disk below it). nil means
-	// a memory-only store bounded by CellCacheSize.
+	// a memory-only store of cellstore.NewMemory's default bound.
 	Store cellstore.Store
 }
 
@@ -70,24 +71,25 @@ type cellJob struct {
 }
 
 // Service owns the job table, the cell run queue, the worker pool and
-// the two result caches (whole jobs and individual cells). Every
-// submitted job is planned into cells; workers pull cells, not jobs, so
-// one sweep fans out across the whole pool. One mutex guards the job
-// table, the scheduler state and every Job's fields; snapshots returned
-// to callers are copies.
+// the cell store. The job table is also the job cache: a retained done
+// job answers every resubmission of its spec. Every submitted job is
+// planned into cells; workers pull cells, not jobs, so one sweep fans
+// out across the whole pool. One mutex guards the job table, the
+// scheduler state and every Job's fields; snapshots returned to callers
+// are copies.
 type Service struct {
 	cfg   Config
-	cache *resultCache
 	store cellstore.Store
 
-	mu     sync.Mutex
-	cond   *sync.Cond // signaled when runq grows or the service closes
-	jobs   map[string]*Job
-	order  []string            // submission order, for listing
-	cells  map[string]*cellJob // queued or running cells, by hash
-	runq   []*cellJob          // FIFO of cells awaiting a worker
-	closed bool
-	nextID int
+	mu       sync.Mutex
+	cond     *sync.Cond          // signaled when runq grows or the service closes
+	jobs     map[string]*Job     // queued, running and retained finished jobs, by ID
+	byHash   map[string]*Job     // the job cache: a retained done job per spec hash
+	finished []*Job              // retained finished jobs, oldest first; at most cfg.CacheSize
+	cells    map[string]*cellJob // queued or running cells, by hash
+	runq     []*cellJob          // FIFO of cells awaiting a worker
+	closed   bool
+	nextID   int
 
 	backlogJobs int // jobs with >=1 cell still awaiting a worker, bounded by cfg.QueueSize
 
@@ -104,6 +106,7 @@ type Service struct {
 
 	submitted, completed, failed, canceled int
 	jobsByKind                             map[string]int
+	cacheHits, cacheMisses                 uint64 // job-table probes at submit
 	cellsCompleted                         int
 	cellsExecuted                          int // cells this process actually simulated (incl. fleet steals)
 
@@ -120,14 +123,17 @@ func New(cfg Config) *Service {
 	if cfg.QueueSize <= 0 {
 		cfg.QueueSize = 64
 	}
+	if cfg.CacheSize <= 0 {
+		cfg.CacheSize = 256
+	}
 	if cfg.Store == nil {
-		cfg.Store = cellstore.NewMemory(cfg.CellCacheSize)
+		cfg.Store = cellstore.NewMemory(0)
 	}
 	s := &Service{
 		cfg:        cfg,
-		cache:      newResultCache(cfg.CacheSize),
 		store:      cfg.Store,
 		jobs:       make(map[string]*Job),
+		byHash:     make(map[string]*Job),
 		cells:      make(map[string]*cellJob),
 		jobsByKind: make(map[string]int),
 		started:    time.Now(),
@@ -140,36 +146,43 @@ func New(cfg Config) *Service {
 	return s
 }
 
-// Submit validates a job, plans it into cells and schedules the cells
-// that are not already cached or in flight. A spec whose canonical hash
-// is already in the job cache — or whose every cell is in the cell
-// cache — completes immediately (CacheHit set) without touching the
-// queue.
+// Submit validates a job and answers it from the job table when it can:
+// a retained done job with the same spec hash comes back as a snapshot
+// with CacheHit set, and nothing is registered or planned. Otherwise
+// Submit plans the spec into cells and schedules the cells that are not
+// already stored or in flight; a job whose every cell is in the cell
+// store completes at once (CacheHit set) without touching the queue.
 func (s *Service) Submit(spec JobSpec) (Job, error) {
+	job, _, err := s.submit(spec)
+	return job, err
+}
+
+// submit is Submit that also hands back the registered job itself (nil
+// on a job-table hit), which Run reads once the job ends, whether or not
+// the table still holds it.
+func (s *Service) submit(spec JobSpec) (Job, *Job, error) {
 	norm, err := spec.normalize()
 	if err != nil {
-		return Job{}, err
+		return Job{}, nil, err
 	}
 	hash := norm.hash()
+	if hit, ok, err := s.lookup(hash); ok || err != nil {
+		return hit, nil, err
+	}
 	plan := planCells(norm)
 
-	// Probe the caches before taking the scheduler lock: the store's
+	// Probe the cell store before taking the scheduler lock: the store's
 	// disk tier does file I/O, and fresh work misses every probe — none
 	// of that belongs under s.mu. A cell completing between probe and
 	// enqueue is caught again by the worker's pre-execution store check.
-	jobRes, jobHit := s.cache.get(hash)
-	var planHash []string
-	var cellHits []*cellResult
-	if !jobHit {
-		planHash = make([]string, len(plan))
-		cellHits = make([]*cellResult, len(plan))
-		for i, c := range plan {
-			planHash[i] = c.hash()
-			if data, ok := s.store.Get(planHash[i]); ok {
-				if res, err := decodeCell(c.Kind, data); err == nil {
-					r := res
-					cellHits[i] = &r
-				}
+	planHash := make([]string, len(plan))
+	cellHits := make([]*cellResult, len(plan))
+	for i, c := range plan {
+		planHash[i] = c.hash()
+		if data, ok := s.store.Get(planHash[i]); ok {
+			if res, err := decodeCell(c.Kind, data); err == nil {
+				r := res
+				cellHits[i] = &r
 			}
 		}
 	}
@@ -177,7 +190,7 @@ func (s *Service) Submit(spec JobSpec) (Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return Job{}, ErrClosed
+		return Job{}, nil, ErrClosed
 	}
 	now := time.Now()
 	s.nextID++
@@ -186,28 +199,17 @@ func (s *Service) Submit(spec JobSpec) (Job, error) {
 		Hash:      hash,
 		Spec:      norm,
 		State:     StateQueued,
+		Progress:  Progress{Total: len(plan)},
 		Submitted: now,
+		seq:       s.nextID,
+		done:      make(chan struct{}),
+		plan:      plan,
+		planHash:  planHash,
+		cellIdx:   make(map[string]int, len(plan)),
+		cellRes:   make([]cellResult, len(plan)),
+		delivered: make([]bool, len(plan)),
+		remaining: len(plan),
 	}
-
-	if jobHit {
-		job.State = StateDone
-		job.CacheHit = true
-		job.result = jobRes
-		job.Progress = Progress{Done: 1, Total: 1}
-		job.Started, job.Finished = &now, &now
-		job.Version++
-		s.register(job)
-		s.completed++
-		return *job, nil
-	}
-
-	job.plan = plan
-	job.planHash = planHash
-	job.cellIdx = make(map[string]int, len(plan))
-	job.cellRes = make([]cellResult, len(plan))
-	job.delivered = make([]bool, len(plan))
-	job.remaining = len(plan)
-	job.Progress = Progress{Done: 0, Total: len(plan)}
 
 	var missing []int
 	for i := range plan {
@@ -232,17 +234,15 @@ func (s *Service) Submit(spec JobSpec) (Job, error) {
 		res := aggregate(norm, job.cellRes)
 		s.mu.Lock()
 		if s.closed {
-			return Job{}, ErrClosed
+			return Job{}, nil, ErrClosed
 		}
-		job.State = StateDone
 		job.CacheHit = true
 		job.result = res
-		job.Started, job.Finished = &now, &now
-		job.Version++
-		s.cache.put(hash, res)
+		job.Started = &now
 		s.register(job)
+		s.endLocked(job, StateDone, "", now)
 		s.completed++
-		return *job, nil
+		return *job, job, nil
 	}
 
 	// Admission: a job counts against the queue bound until every cell
@@ -260,12 +260,11 @@ func (s *Service) Submit(spec JobSpec) (Job, error) {
 	}
 	if unstarted > 0 {
 		if s.backlogJobs >= s.cfg.QueueSize {
-			return Job{}, ErrQueueFull
+			return Job{}, nil, ErrQueueFull
 		}
 		s.backlogJobs++
 	}
 	job.unstarted = unstarted
-	job.done = make(chan struct{})
 	for _, i := range missing {
 		h := job.planHash[i]
 		if c, ok := s.cells[h]; ok {
@@ -284,56 +283,90 @@ func (s *Service) Submit(spec JobSpec) (Job, error) {
 		// StateQueued with Started unset.
 		s.markRunningLocked(job, now)
 	}
-	return *job, nil
+	return *job, job, nil
+}
+
+// lookup probes the job cache: a retained done job with the spec's hash
+// answers the submission, as a snapshot with CacheHit set. It counts the
+// hit or miss.
+func (s *Service) lookup(hash string) (Job, bool, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return Job{}, false, ErrClosed
+	}
+	j, ok := s.byHash[hash]
+	if !ok {
+		s.cacheMisses++
+		return Job{}, false, nil
+	}
+	s.cacheHits++
+	hit := *j
+	hit.CacheHit = true
+	return hit, true, nil
 }
 
 // Run submits spec and blocks until the job ends, returning its result.
 // It is the in-process door to the planner, scheduler and renderers the
-// HTTP API drives. A job the caches answer at submit returns at once.
+// HTTP API drives. A job the caches answer at submit returns at once,
+// from the snapshot Submit took. Run reads a job that ends from the job
+// itself, not through its ID, which the table may have evicted by then.
 // When ctx ends first, Run cancels the job — cells no other job waits on
 // stop — and returns ctx's error.
 func (s *Service) Run(ctx context.Context, spec JobSpec) (*Result, error) {
-	job, err := s.Submit(spec)
+	job, live, err := s.submit(spec)
 	if err != nil {
 		return nil, err
 	}
-	if job.done == nil {
+	if job.CacheHit {
 		return job.result, nil
 	}
 	select {
 	case <-job.done:
 	case <-ctx.Done():
-		s.Cancel(job.ID) // cannot fail: jobs are never unregistered
+		// Only a finished job leaves the table, and Cancel leaves a
+		// finished job alone, so its answer changes nothing here.
+		s.Cancel(job.ID)
 		return nil, ctx.Err()
 	}
-	end, res, err := s.JobResult(job.ID)
-	if err != nil {
-		return nil, err
-	}
+	end := s.snapshot(live)
 	if end.State != StateDone {
 		return nil, fmt.Errorf("job %s %s: %s", end.ID, end.State, end.Error)
 	}
-	return res, nil
+	return end.result, nil
 }
 
 // register must run under s.mu. It indexes the job and counts the
 // submission.
 func (s *Service) register(job *Job) {
 	s.jobs[job.ID] = job
-	s.order = append(s.order, job.ID)
 	s.submitted++
 	s.jobsByKind[job.Spec.Kind]++
 }
 
 // Job returns a snapshot of one job.
 func (s *Service) Job(id string) (Job, error) {
+	j, _, err := s.JobResult(id)
+	return j, err
+}
+
+// watch returns the job itself, for a caller that follows it through
+// snapshot past the point where the table may evict it.
+func (s *Service) watch(id string) (*Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
 	if !ok {
-		return Job{}, ErrNotFound
+		return nil, ErrNotFound
 	}
-	return *j, nil
+	return j, nil
+}
+
+// snapshot copies a job, whether or not the table still holds it.
+func (s *Service) snapshot(j *Job) Job {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return *j
 }
 
 // JobResult returns a finished job's result.
@@ -347,14 +380,16 @@ func (s *Service) JobResult(id string) (Job, *Result, error) {
 	return *j, j.result, nil
 }
 
-// Jobs lists snapshots in submission order.
+// Jobs lists snapshots of the retained jobs — every queued or running
+// job and the last cfg.CacheSize finished ones — in submission order.
 func (s *Service) Jobs() []Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]Job, 0, len(s.order))
-	for _, id := range s.order {
-		out = append(out, *s.jobs[id])
+	out := make([]Job, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		out = append(out, *j)
 	}
+	slices.SortFunc(out, func(a, b Job) int { return cmp.Compare(a.seq, b.seq) })
 	return out
 }
 
@@ -389,10 +424,12 @@ func (s *Service) finishCanceledLocked(j *Job, reason string, now time.Time) {
 }
 
 // endLocked is a job's one terminal transition: it releases the job's
-// claim on the queue bound, stamps the end state and wakes Run. Only a
-// job Submit left queued or running gets here, and callers check that
-// it is not terminal yet, so done exists and is closed exactly once.
-// Must run under s.mu.
+// claim on the queue bound, stamps the end state, wakes Run and files
+// the job among the retained finished ones. A done job becomes its
+// spec's job-cache entry. Past cfg.CacheSize finished jobs, the oldest
+// leaves the table, and its ID answers ErrNotFound from then on.
+// Callers check that the job is not terminal yet, so done is closed
+// exactly once. Must run under s.mu.
 func (s *Service) endLocked(j *Job, state State, errMsg string, now time.Time) {
 	s.clearBacklogLocked(j)
 	j.State = state
@@ -400,6 +437,19 @@ func (s *Service) endLocked(j *Job, state State, errMsg string, now time.Time) {
 	j.Finished = &now
 	j.Version++
 	close(j.done)
+	if state == StateDone {
+		s.byHash[j.Hash] = j
+	}
+	s.finished = append(s.finished, j)
+	if len(s.finished) > s.cfg.CacheSize {
+		old := s.finished[0]
+		s.finished[0] = nil // frees the job before the array is reallocated
+		s.finished = s.finished[1:]
+		delete(s.jobs, old.ID)
+		if s.byHash[old.Hash] == old {
+			delete(s.byHash, old.Hash)
+		}
+	}
 }
 
 // detachLocked removes the job from every cell it is still waiting on.
@@ -619,7 +669,6 @@ func (s *Service) finishAggregatedLocked(p *Job, agg *Result, end time.Time) {
 	}
 	p.result = agg
 	s.endLocked(p, StateDone, "", end)
-	s.cache.put(p.Hash, agg)
 	s.completed++
 }
 

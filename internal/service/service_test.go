@@ -8,6 +8,8 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -474,5 +476,152 @@ func TestQueueBoundsAndForcedShutdown(t *testing.T) {
 	m := svc.Metrics()
 	if m.BusyWorkers != 0 || m.JobsCanceled != 2 {
 		t.Fatalf("after shutdown: busy %d canceled %d", m.BusyWorkers, m.JobsCanceled)
+	}
+}
+
+// --- The job table is the job cache -------------------------------------
+
+// tinySim is a simulate job that finishes in milliseconds; seed keys it
+// apart from the others.
+func tinySim(seed int64) service.JobSpec {
+	return service.JobSpec{Kind: "simulate", Bench: "gzip", Scheme: "cppc",
+		Warmup: tinyWarmup, Measure: tinyMeasure, Seed: seed}
+}
+
+// TestJobTableEviction: the table keeps every queued or running job and
+// at most CacheSize finished ones, evicting the oldest finished job
+// first. An evicted ID is gone for good, while its spec still comes back
+// done from the cell store, as a hit that executes nothing.
+func TestJobTableEviction(t *testing.T) {
+	s := service.New(service.Config{Workers: 2, CacheSize: 3})
+	defer shutdown(t, s)
+
+	// Holds one worker for the whole test.
+	long := submitSpec(t, s, service.JobSpec{Kind: "simulate", Bench: "mcf", Scheme: "secded",
+		Warmup: 0, Measure: 500_000_000})
+	defer s.Cancel(long.ID)
+	waitJob(t, s, long.ID, func(j service.Job) bool { return j.State == service.StateRunning }, time.Minute)
+
+	var done []service.Job
+	for seed := int64(1); seed <= 5; seed++ {
+		job := submitSpec(t, s, tinySim(seed))
+		done = append(done, waitJob(t, s, job.ID, jobDone, 30*time.Second))
+	}
+	listed := func() []string {
+		var ids []string
+		for _, j := range s.Jobs() {
+			ids = append(ids, j.ID)
+		}
+		return ids
+	}
+	want := []string{long.ID, done[2].ID, done[3].ID, done[4].ID}
+	if got := listed(); !slices.Equal(got, want) {
+		t.Fatalf("retained jobs = %v, want the running job and the last three finished %v", got, want)
+	}
+	for _, j := range done[:2] {
+		if _, err := s.Job(j.ID); !errors.Is(err, service.ErrNotFound) {
+			t.Fatalf("evicted job %s: err = %v, want ErrNotFound", j.ID, err)
+		}
+		if _, _, err := s.JobResult(j.ID); !errors.Is(err, service.ErrNotFound) {
+			t.Fatalf("evicted job %s result: err = %v, want ErrNotFound", j.ID, err)
+		}
+	}
+	if m := s.Metrics(); m.CacheEntries != 3 {
+		t.Fatalf("cache_entries = %d, want 3", m.CacheEntries)
+	}
+
+	// A retained spec is answered by its finished job.
+	hit := submitSpec(t, s, tinySim(5))
+	if !hit.CacheHit || hit.State != service.StateDone || hit.ID != done[4].ID {
+		t.Fatalf("retained spec = %+v, want a hit on %s", hit, done[4].ID)
+	}
+	if got := listed(); !slices.Equal(got, want) {
+		t.Fatalf("a hit changed the table: %v, want %v", got, want)
+	}
+
+	// An evicted spec comes back done from the cell store and becomes the
+	// newest finished job, evicting the oldest.
+	executed := s.Metrics().CellsExecuted
+	again := submitSpec(t, s, tinySim(1))
+	if !again.CacheHit || again.State != service.StateDone || again.ID == done[0].ID {
+		t.Fatalf("evicted spec = %+v, want a new done job answered from the cell store", again)
+	}
+	if got := s.Metrics().CellsExecuted; got != executed {
+		t.Fatalf("evicted spec executed %d cells, want 0", got-executed)
+	}
+	_, res, err := s.JobResult(again.ID)
+	if err != nil || res == nil || res.Values["cpi"] <= 0 {
+		t.Fatalf("evicted spec result = %+v, %v", res, err)
+	}
+	want = []string{long.ID, done[3].ID, done[4].ID, again.ID}
+	if got := listed(); !slices.Equal(got, want) {
+		t.Fatalf("retained jobs = %v, want %v", got, want)
+	}
+
+	if j, err := s.Cancel(long.ID); err != nil || j.State != service.StateCanceled {
+		t.Fatalf("cancel running job: %v, state %s", err, j.State)
+	}
+	want = []string{long.ID, done[4].ID, again.ID}
+	if got := listed(); !slices.Equal(got, want) {
+		t.Fatalf("retained jobs after the running job ended = %v, want %v", got, want)
+	}
+}
+
+// TestResubmitRecordsNothing resubmits one finished spec 20k times: each
+// hit answers with the finished job's ID, the table does not grow, and
+// the live heap stays put.
+func TestResubmitRecordsNothing(t *testing.T) {
+	s := service.New(service.Config{Workers: 1})
+	defer shutdown(t, s)
+	first := submitSpec(t, s, tinySim(1))
+	waitJob(t, s, first.ID, jobDone, 30*time.Second)
+	jobs := len(s.Jobs())
+
+	// Two collections: the first only moves sync.Pool contents (the
+	// simulator's arenas) to the victim cache, the second frees them.
+	liveHeap := func() int64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	var hit service.Job
+	before := liveHeap()
+	for i := 0; i < 20_000; i++ {
+		var err error
+		if hit, err = s.Submit(tinySim(1)); err != nil || !hit.CacheHit {
+			t.Fatalf("resubmission %d = %+v, %v; want a hit", i, hit, err)
+		}
+	}
+	if grew := liveHeap() - before; grew >= 1<<20 {
+		t.Fatalf("20k hits grew the live heap by %d bytes, want < 1 MB", grew)
+	}
+	if n := len(s.Jobs()); n != jobs {
+		t.Fatalf("20k hits grew the table from %d to %d jobs", jobs, n)
+	}
+	if hit.ID != first.ID {
+		t.Fatalf("hit answered as %s, want the finished job %s", hit.ID, first.ID)
+	}
+}
+
+// TestSubmitHitAllocs bounds a job-table hit's allocations: normalize,
+// the spec hash and the snapshot, with no plan and no registration. A
+// hit measures 4 (8 when every hit registered a job and planned it);
+// under -race it measures 5, because the race detector makes sync.Pool
+// drop some of the JSON encoder states the hash reuses.
+func TestSubmitHitAllocs(t *testing.T) {
+	s := service.New(service.Config{Workers: 1})
+	defer shutdown(t, s)
+	spec := tinySim(1)
+	first := submitSpec(t, s, spec)
+	waitJob(t, s, first.ID, jobDone, 30*time.Second)
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := s.Submit(spec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 5 {
+		t.Fatalf("a job-table hit costs %v allocs, want <= 5", allocs)
 	}
 }

@@ -1,9 +1,9 @@
 // Package service exposes the simulator as a long-running daemon: a JSON
 // HTTP API to submit simulation jobs (the paper's figure/table matrix,
 // single-cell simulations, and Monte-Carlo fault campaigns), a bounded
-// worker pool with a FIFO queue and per-job cancellation, a
-// content-addressed result cache so repeated figure regenerations are
-// free, streaming job progress, and a /metrics endpoint. cmd/cppcd is
+// worker pool with a FIFO queue and per-job cancellation, a job table
+// that answers a resubmitted spec from its finished job so repeated
+// figure regenerations are free, streaming job progress, and a /metrics endpoint. cmd/cppcd is
 // the thin binary around it. The same planner, scheduler and renderers
 // also serve in-process callers through Service.Run: cmd/repro runs
 // every sweep of the paper's evaluation that way.
