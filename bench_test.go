@@ -1,11 +1,16 @@
 package cppc
 
-// The benchmark harness: one benchmark per table and figure of the
-// paper's evaluation (run `go test -bench=. -benchmem`), plus
-// micro-benchmarks of the protection hot paths. The full-budget versions
-// of the experiments are produced by cmd/repro; these benches exercise
-// the identical code on a reduced instruction budget so the harness
-// finishes in seconds per entry.
+// The pipeline-level benchmarks: one per table and figure of the paper's
+// evaluation, one per sweep cell the daemon runs, and the protected
+// access hot paths (run `go test -run '^$' -bench . -benchmem`). The
+// full-budget versions of the experiments are produced by cmd/repro;
+// these exercise the identical code on a reduced instruction budget so
+// each entry finishes in seconds. Kernel and storage benchmarks live
+// next to their code, paired with its *Ref oracle where one exists
+// (internal/bitops, internal/core, internal/parity, internal/cache,
+// internal/cellstore). CI runs every package's benchmarks on a change
+// and on its parent, alternated on one runner, and cmd/bench compares
+// the two.
 
 import (
 	"context"
@@ -15,7 +20,6 @@ import (
 
 	"cppc/internal/experiments"
 	"cppc/internal/fault"
-	"cppc/internal/parity"
 	"cppc/internal/protect"
 	"cppc/internal/reliability"
 	"cppc/internal/service"
@@ -43,6 +47,15 @@ func benchProfiles() []trace.Profile {
 		out = append(out, p)
 	}
 	return out
+}
+
+// profile looks up one workload profile, failing b if it is missing.
+func profile(b *testing.B, name string) trace.Profile {
+	p, ok := trace.ProfileByName(name)
+	if !ok {
+		b.Fatalf("missing profile %s", name)
+	}
+	return p
 }
 
 // simulate runs one cell of the figure matrix, failing b on error.
@@ -231,33 +244,6 @@ func BenchmarkRecoverySingle(b *testing.B) {
 	}
 }
 
-// BenchmarkSECDEDDecode measures the (72,64) decode hot path.
-func BenchmarkSECDEDDecode(b *testing.B) {
-	var s parity.SECDED
-	w := rand.Uint64()
-	check := s.Encode(w)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if res := s.Decode(w, check); res.Outcome != parity.SECDEDClean {
-			b.Fatal("decode broke")
-		}
-	}
-}
-
-// BenchmarkHammingDecode256 measures the block-level SECDED decode used
-// at L2.
-func BenchmarkHammingDecode256(b *testing.B) {
-	h := parity.MustHamming(256)
-	data := []uint64{1, 2, 3, 4}
-	check := h.Encode(data)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if res := h.Decode(data, check); res.Outcome != parity.SECDEDClean {
-			b.Fatal("decode broke")
-		}
-	}
-}
-
 // BenchmarkSection7Multicore runs a short timed coherence sweep (the
 // Sec. 7 multiprocessor experiment) as one sweep job. A fresh seed per
 // iteration keeps the service's caches cold.
@@ -314,17 +300,66 @@ func BenchmarkAblationEarlyWriteback(b *testing.B) {
 	}
 }
 
-// BenchmarkMonteCarloLifetime runs one accelerated-rate lifetime trial
-// (the PARMA-style cross-validation).
-func BenchmarkMonteCarloLifetime(b *testing.B) {
+// BenchmarkMonteCarloMTTF runs one accelerated-rate lifetime cell, the
+// montecarlo job kind's unit of work (the PARMA-style cross-validation):
+// it gates the arena reuse of the trial executor on the longest-running
+// campaign type.
+func BenchmarkMonteCarloMTTF(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := fault.MonteCarloMTTFCtx(context.Background(),
-			func(c *icache.Cache) protect.Scheme {
-				return protect.MustCPPC(c, icore.DefaultL1Config())
-			},
-			2e-7, 1, 50_000, int64(i))
-		if err != nil || res.Trials != 1 {
-			b.Fatalf("trial did not run (err=%v)", err)
+		cell, err := experiments.MonteCarloCellCtx(context.Background(), "parity-1d", 4, 1)
+		if err != nil || cell.Res.Trials != 4 {
+			b.Fatalf("montecarlo cell broke: %+v (err=%v)", cell, err)
+		}
+	}
+}
+
+// BenchmarkMulticoreCell runs one Sec. 7 cell (gzip, two cores, 30%
+// shared), plain and with silent-store elision. The silent run also
+// takes the energy accounting path end to end: per-engine fold and
+// elision counts, three energy reports and the bus model.
+func BenchmarkMulticoreCell(b *testing.B) {
+	p := profile(b, "gzip")
+	bud := experiments.Budget{Warmup: 5_000, Measure: 15_000, Seed: 1}
+	for _, silent := range []bool{false, true} {
+		b.Run(fmt.Sprintf("silent=%v", silent), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				run, err := experiments.MulticoreCellCtx(context.Background(), p, 2, 0.3, silent, bud)
+				if err != nil || run.CPI <= 0 || run.TotalEnergyPJ() <= 0 {
+					b.Fatalf("multicore cell broke: cpi=%v energy=%v (err=%v)", run.CPI, run.TotalEnergyPJ(), err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkFieldMC runs one field-mix grid cell (populate, exercise and
+// probe per trial) on one trial worker and on eight: the fault plane's
+// cost on the read path, and the trial fan-out's win on hosts that have
+// the cores.
+func BenchmarkFieldMC(b *testing.B) {
+	pt := experiments.FieldPoint{Footprint: "word", Lifetime: "stuck", Rate: "x1"}
+	for _, workers := range []int{1, 8} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			ctx := experiments.WithCellWorkers(context.Background(), workers)
+			for i := 0; i < b.N; i++ {
+				cell, err := experiments.FieldMCCellCtx(ctx, "cppc", pt, 16, 1)
+				if err != nil || cell.Counts.Total() != 16 {
+					b.Fatalf("fieldmc cell broke: %+v (err=%v)", cell, err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkL3CPI runs one three-level cell: the mcf hierarchy with CPPC
+// at no level, at L2 and at L3.
+func BenchmarkL3CPI(b *testing.B) {
+	p := profile(b, "mcf")
+	bud := experiments.Budget{Warmup: 5_000, Measure: 15_000, Seed: 1}
+	for i := 0; i < b.N; i++ {
+		run, err := experiments.L3Cell(context.Background(), p, bud)
+		if err != nil || run.ParityCPI <= 0 {
+			b.Fatalf("L3 cell broke: cpi=%v (err=%v)", run.ParityCPI, err)
 		}
 	}
 }

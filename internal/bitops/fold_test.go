@@ -102,3 +102,32 @@ func FuzzFoldLine(f *testing.F) {
 		}
 	})
 }
+
+// foldSink keeps benchmarked folds from being optimized away.
+var foldSink uint64
+
+// BenchmarkFoldLine pairs the four-accumulator FoldLine with its
+// single-accumulator FoldLineRef on the same full 8-word (64-byte) line,
+// the kernel's widest committed shape. Each calls its kernel directly,
+// as the protection code does; a call through a function value would
+// time the call instead.
+func BenchmarkFoldLine(b *testing.B) {
+	line := make([]uint64, 8)
+	for i := range line {
+		line[i] = uint64(i)*0x9e3779b97f4a7c15 + 1
+	}
+	b.Run("FoldLine", func(b *testing.B) {
+		var x uint64
+		for i := 0; i < b.N; i++ {
+			x ^= FoldLine(line)
+		}
+		foldSink = x
+	})
+	b.Run("FoldLineRef", func(b *testing.B) {
+		var x uint64
+		for i := 0; i < b.N; i++ {
+			x ^= FoldLineRef(line)
+		}
+		foldSink = x
+	})
+}

@@ -207,3 +207,45 @@ func TestTiered(t *testing.T) {
 		t.Fatalf("tier stats = %+v", st)
 	}
 }
+
+// benchCell is a typical encoded cell: 4 KB of JSON-like bytes.
+func benchCell() []byte {
+	data := make([]byte, 4096)
+	for i := range data {
+		data[i] = byte('a' + i%26)
+	}
+	return data
+}
+
+// BenchmarkDiskPut times one disk-tier write of a fresh cell: a temporary
+// file, then a rename into place.
+func BenchmarkDiskPut(b *testing.B) {
+	d, err := NewDisk(b.TempDir(), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	data := benchCell()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.Put(h(i), data)
+	}
+}
+
+// BenchmarkDiskGet times one disk-tier read over 256 resident cells.
+func BenchmarkDiskGet(b *testing.B) {
+	d, err := NewDisk(b.TempDir(), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	data := benchCell()
+	const cells = 256
+	for i := 0; i < cells; i++ {
+		d.Put(h(i), data)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := d.Get(h(i % cells)); !ok {
+			b.Fatal("disk store lost a cell")
+		}
+	}
+}

@@ -191,6 +191,25 @@ func TestGranuleParityMatchesWordParity(t *testing.T) {
 	}
 }
 
+// paritySink keeps benchmarked parities from being optimized away.
+var paritySink uint64
+
+// BenchmarkGranuleParity times the per-load verify kernel: the check bits
+// of a one-word L1 granule at degree 8.
+func BenchmarkGranuleParity(b *testing.B) {
+	eng, err := New(cache.New(cache.L1DConfig()), DefaultL1Config())
+	if err != nil {
+		b.Fatal(err)
+	}
+	data := []uint64{0xdeadbeefcafebabe}
+	b.ResetTimer()
+	var x uint64
+	for i := 0; i < b.N; i++ {
+		x ^= eng.GranuleParity(data)
+	}
+	paritySink = x
+}
+
 func TestEngineRejectsBadConfig(t *testing.T) {
 	c := cache.New(cache.L1DConfig())
 	if _, err := New(c, Config{ParityDegree: 3, RegisterPairs: 1}); err == nil {

@@ -32,25 +32,21 @@ func SinglePortAblation(ctx context.Context, b Budget) (string, error) {
 		if !ok {
 			return "", fmt.Errorf("single-port ablation: profile %q not found", name)
 		}
+		// over is cppc split, cppc single, 2d split, 2d single: each
+		// scheme's CPI over the parity-1d baseline of its own port mode.
 		var over [4]float64
-		for i, cfg := range []struct {
-			mk     cpu.SchemeFactory
-			single bool
-		}{
-			{cpu.CPPCFactory(core.DefaultL1Config()), false},
-			{cpu.CPPCFactory(core.DefaultL1Config()), true},
-			{cpu.TwoDimFactory(), false},
-			{cpu.TwoDimFactory(), true},
-		} {
-			base, err := run(p, cpu.Parity1DFactory(), cfg.single)
+		for j, single := range []bool{false, true} {
+			base, err := run(p, cpu.Parity1DFactory(), single)
 			if err != nil {
 				return "", err
 			}
-			cpi, err := run(p, cfg.mk, cfg.single)
-			if err != nil {
-				return "", err
+			for i, mk := range []cpu.SchemeFactory{cpu.CPPCFactory(core.DefaultL1Config()), cpu.TwoDimFactory()} {
+				cpi, err := run(p, mk, single)
+				if err != nil {
+					return "", err
+				}
+				over[2*i+j] = cpi/base - 1
 			}
-			over[i] = cpi/base - 1
 		}
 		t.Addf(name,
 			tables.Pct(over[0]), tables.Pct(over[1]),

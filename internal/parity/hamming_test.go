@@ -191,6 +191,38 @@ func BenchmarkHammingEncode(b *testing.B) {
 	}
 }
 
+// BenchmarkHammingDecode times a clean decode at the L1 word width, the
+// per-word code protect.SECDEDScheme runs on every verify, and at the L2
+// block width.
+func BenchmarkHammingDecode(b *testing.B) {
+	for _, dataBits := range []int{64, 256} {
+		h := MustHamming(dataBits)
+		data := []uint64{0xdeadbeefcafebabe, 2, 3, 4}[:dataBits/64]
+		check := h.Encode(data)
+		b.Run(fmt.Sprint(dataBits), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if res := h.Decode(data, check); res.Outcome != SECDEDClean {
+					b.Fatal("decode broke")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSECDEDDecode times a clean decode of the fixed-width (72,64)
+// reference, which no simulation calls; BenchmarkHammingDecode/64 times
+// the code the L1 runs.
+func BenchmarkSECDEDDecode(b *testing.B) {
+	var s SECDED
+	const w = uint64(0xdeadbeefcafebabe)
+	check := s.Encode(w)
+	for i := 0; i < b.N; i++ {
+		if res := s.Decode(w, check); res.Outcome != SECDEDClean {
+			b.Fatal("decode broke")
+		}
+	}
+}
+
 func positions(w uint64) []int {
 	var out []int
 	for i := 0; i < 64; i++ {

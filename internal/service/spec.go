@@ -374,5 +374,8 @@ func (s JobSpec) hash() string {
 		panic("service: spec marshal: " + err.Error()) // unreachable: plain fields
 	}
 	sum := sha256.Sum256(raw)
-	return hex.EncodeToString(sum[:])
+	// Hex-encoding into a stack array allocates only the returned string.
+	var buf [2 * sha256.Size]byte
+	hex.Encode(buf[:], sum[:])
+	return string(buf[:])
 }
