@@ -32,6 +32,7 @@ import (
 	"context"
 	"crypto/subtle"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -720,8 +721,13 @@ func (n *Node) handlePutCell(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad cell hash", http.StatusBadRequest)
 		return
 	}
-	data, err := io.ReadAll(io.LimitReader(r.Body, maxCellBytes))
-	if err != nil {
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxCellBytes))
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		http.Error(w, "cell too large", http.StatusRequestEntityTooLarge)
+		return
+	case err != nil:
 		http.Error(w, "short read", http.StatusBadRequest)
 		return
 	}

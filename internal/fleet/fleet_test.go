@@ -547,3 +547,37 @@ func TestFleetAuthRejectsBadToken(t *testing.T) {
 		t.Fatal("impostor queuePeer succeeded, want auth error")
 	}
 }
+
+// zeros is an endless body of zero bytes.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
+}
+
+// TestPutCellRejectsOversizedBody: a PUT /fleet/cells body one byte past
+// maxCellBytes answers 413 and stores nothing, instead of storing its
+// first maxCellBytes bytes under the cell's hash.
+func TestPutCellRejectsOversizedBody(t *testing.T) {
+	store := cellstore.NewMemory(64)
+	node := New(Config{Self: "http://self.invalid", Local: store})
+	hash := hex.EncodeToString(make([]byte, sha256.Size))
+	put := func(body io.Reader) int {
+		rec := httptest.NewRecorder()
+		node.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPut, "/fleet/cells/"+hash, body))
+		return rec.Code
+	}
+	if code := put(io.LimitReader(zeros{}, maxCellBytes+1)); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized PUT = %d, want %d", code, http.StatusRequestEntityTooLarge)
+	}
+	if data, ok := store.Get(hash); ok {
+		t.Fatalf("oversized PUT stored %d bytes", len(data))
+	}
+	if code := put(io.LimitReader(zeros{}, 16)); code != http.StatusNoContent {
+		t.Errorf("16-byte PUT = %d, want %d", code, http.StatusNoContent)
+	}
+	if data, ok := store.Get(hash); !ok || len(data) != 16 {
+		t.Errorf("16-byte PUT stored %d bytes (present %v)", len(data), ok)
+	}
+}

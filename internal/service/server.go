@@ -58,22 +58,31 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // Handler returns the routed handler for an http.Server.
 func (s *Server) Handler() http.Handler { return s.mux }
 
+// writeJSON answers with v as compact JSON, encoded straight into w. It
+// answers every job-table hit, so it does not indent: an indenting
+// encoder grows a buffer of its own from empty on every call.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
+// maxSpecBytes bounds a POST /jobs body; a JobSpec is under 1 KB.
+const maxSpecBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad job spec: %w", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes)).Decode(&spec); err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, fmt.Errorf("bad job spec: %w", err))
 		return
 	}
 	job, err := s.svc.Submit(spec)

@@ -50,3 +50,60 @@ func TestEventsFollowEvictedJob(t *testing.T) {
 		t.Fatalf("stream ended on %s in state %q, want %s done", last.ID, last.State, first.ID)
 	}
 }
+
+// TestSubmitRejectsOversizedSpec: a POST /jobs body past maxSpecBytes
+// answers 413 and submits nothing, even when a valid spec follows the
+// padding; the same spec alone is accepted.
+func TestSubmitRejectsOversizedSpec(t *testing.T) {
+	svc := New(Config{Workers: 1})
+	defer svc.Shutdown(context.Background())
+	h := NewServer(svc).Handler()
+	post := func(body string) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/jobs", strings.NewReader(body)))
+		return rec.Code
+	}
+
+	spec := `{"kind":"simulate","bench":"gzip","scheme":"cppc","warmup":2000,"measure":5000}`
+	if code := post(strings.Repeat(" ", maxSpecBytes) + spec); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized POST /jobs = %d, want %d", code, http.StatusRequestEntityTooLarge)
+	}
+	if jobs := svc.Jobs(); len(jobs) != 0 {
+		t.Fatalf("oversized POST /jobs submitted %d jobs", len(jobs))
+	}
+	if code := post(spec); code != http.StatusAccepted {
+		t.Errorf("POST /jobs = %d, want %d", code, http.StatusAccepted)
+	}
+}
+
+// discardWriter is a ResponseWriter that keeps only its header map, so
+// an allocation count sees only the writer's caller.
+type discardWriter struct{ h http.Header }
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (w *discardWriter) WriteHeader(int)             {}
+
+// TestWriteJSONAllocs bounds what encoding a done job's snapshot costs,
+// the answer to every job-table hit. It measures 4 allocs, the encoder
+// and the three timestamps (7 under -race, where sync.Pool drops some of
+// the JSON encoder states). An indenting encoder measured 11 (15-16
+// under -race): it grew a buffer of its own from empty on every call.
+func TestWriteJSONAllocs(t *testing.T) {
+	svc := New(Config{Workers: 1})
+	defer svc.Shutdown(context.Background())
+	spec := JobSpec{Kind: KindSimulate, Bench: "gzip", Scheme: "cppc", Warmup: 2000, Measure: 5000}
+	if _, err := svc.Run(context.Background(), spec); err != nil {
+		t.Fatal(err)
+	}
+	hit, err := svc.Submit(spec)
+	if err != nil || !hit.CacheHit {
+		t.Fatalf("resubmit: cache_hit=%v, %v", hit.CacheHit, err)
+	}
+	var v any = hit
+	w := &discardWriter{h: http.Header{}}
+	allocs := testing.AllocsPerRun(200, func() { writeJSON(w, http.StatusOK, v) })
+	if allocs > 8 {
+		t.Fatalf("writeJSON of a job snapshot costs %v allocs, want <= 8", allocs)
+	}
+}

@@ -5,8 +5,8 @@ import "sync"
 // Stream memoization. Generation is deterministic for a given
 // (profile, seed), and the experiments re-draw the same stream many
 // times over: Fig. 10 runs three protection schemes per benchmark, the
-// L3 study three placements, the Sec. 7 sweep shares per-core base
-// streams across cell sizes and sharing fractions, and benchmark
+// L3 study three placements, the Sec. 7 sweep reads every per-core base
+// stream at each cell size and sharing fraction, and benchmark
 // iterations repeat whole cells. A memoized stream materializes the
 // instruction prefix once, process-wide, and every subsequent reader
 // copies it instead of re-running the generator — bit-identical by
@@ -19,115 +19,82 @@ const (
 	memoMaxStreams = 32
 	// memoMaxInstrs bounds the materialized prefix per stream (~6MB).
 	// Readers that outrun it fork the parked generator by value and
-	// continue privately.
+	// continue privately. It is a whole number of chunks.
 	memoMaxInstrs = 1 << 18
-	// memoGrowChunk batches prefix extension so alternating readers do
-	// not generate one tiny append per demand.
+	// memoGrowChunk is the unit the prefix grows by: each chunk is
+	// allocated once at this size and never copied, and alternating
+	// readers do not generate one tiny extension per demand.
 	memoGrowChunk = 4096
 )
 
-// memoSource is a deterministic batch generator with pure value state:
-// clone returns an independent continuation so a reader that outruns
-// the memoized prefix can fork the parked generator and keep drawing
-// the exact stream privately.
-type memoSource interface {
-	NextBatch(dst []Instr) int
-	clone() memoSource
-}
-
-// clone implements memoSource for the plain generator: Gen is pure
-// value state (the lagged-Fibonacci vector is an inline array), so a
-// struct copy is an independent continuation.
-func (g *Gen) clone() memoSource {
-	c := *g
-	return &c
-}
-
 // memoKey identifies a base (profile, seed) stream. Profile is
 // comparable (scalars plus the name), so the struct is directly usable
-// as a map key. Relocated per-core streams use relocKey (multicore.go);
-// the table is keyed by `any` to hold both.
+// as a map key.
 type memoKey struct {
 	p    Profile
 	seed int64
 }
 
-// memoStream is one shared stream: the append-only materialized prefix
-// and the generator parked at its end. Prefix elements are never
-// mutated after they are published, so readers may hold slice snapshots
-// taken under the lock and copy from them lock-free.
+// memoStream is one shared stream: the materialized prefix, as a list
+// of full chunks that is only ever appended to, and the generator
+// parked at its end. Chunks are never mutated after they are published,
+// so readers may hold list snapshots taken under the lock and copy from
+// them lock-free.
 type memoStream struct {
 	mu     sync.Mutex
-	instrs []Instr
-	gen    memoSource
+	chunks []*[memoGrowChunk]Instr
+	gen    Gen
 }
 
 // extend materializes the prefix to at least want instructions (clamped
-// to memoMaxInstrs) and returns a snapshot of it.
-func (s *memoStream) extend(want int) []Instr {
-	if want > memoMaxInstrs {
-		want = memoMaxInstrs
-	}
+// to memoMaxInstrs) and returns a snapshot of the chunk list.
+func (s *memoStream) extend(want int) []*[memoGrowChunk]Instr {
+	want = min(want, memoMaxInstrs)
 	s.mu.Lock()
-	for len(s.instrs) < want {
-		grow := want - len(s.instrs)
-		if grow < memoGrowChunk {
-			grow = memoGrowChunk
-		}
-		if rem := memoMaxInstrs - len(s.instrs); grow > rem {
-			grow = rem
-		}
-		old := len(s.instrs)
-		s.instrs = append(s.instrs, make([]Instr, grow)...)
-		s.gen.NextBatch(s.instrs[old:])
+	for len(s.chunks)*memoGrowChunk < want {
+		c := new([memoGrowChunk]Instr)
+		s.gen.NextBatch(c[:])
+		s.chunks = append(s.chunks, c)
 	}
-	snap := s.instrs
+	snap := s.chunks
 	s.mu.Unlock()
 	return snap
 }
 
-// forkGen returns an independent copy of the parked generator. Callers
+// forkGen returns an independent copy of the parked generator (Gen is
+// pure value state, so a struct copy continues the stream). Callers
 // only fork once the prefix is full, so the copy sits at exactly
 // memoMaxInstrs — the position the caller has consumed up to.
-func (s *memoStream) forkGen() memoSource {
+func (s *memoStream) forkGen() *Gen {
 	s.mu.Lock()
-	g := s.gen.clone()
+	g := s.gen
 	s.mu.Unlock()
-	return g
+	return &g
 }
 
 var (
 	memoMu      sync.Mutex
-	memoStreams = map[any]*memoStream{}
+	memoStreams = map[memoKey]*memoStream{}
 )
 
-// getStream returns the resident stream for key, creating it with mk's
-// generator if absent. When the table is full an arbitrary resident
-// stream is recycled; readers already attached keep working unshared.
-// mk runs outside the table lock — a relocated stream's generator
-// itself attaches to its base stream through this same table — so two
-// concurrent creators may both run it; the loser's (identical,
-// deterministic) generator is discarded.
-func getStream(key any, mk func() memoSource) *memoStream {
+// getStream returns the resident stream for key, creating it if
+// absent. When the table is full an arbitrary resident stream is
+// recycled; readers already attached keep working unshared.
+func getStream(key memoKey) *memoStream {
 	memoMu.Lock()
+	defer memoMu.Unlock()
 	s := memoStreams[key]
-	memoMu.Unlock()
-	if s != nil {
-		return s
-	}
-	gen := mk()
-	memoMu.Lock()
-	if s = memoStreams[key]; s == nil {
+	if s == nil {
 		if len(memoStreams) >= memoMaxStreams {
 			for evict := range memoStreams {
 				delete(memoStreams, evict)
 				break
 			}
 		}
-		s = &memoStream{gen: gen}
+		s = new(memoStream)
+		key.p.initGen(&s.gen, key.seed)
 		memoStreams[key] = s
 	}
-	memoMu.Unlock()
 	return s
 }
 
@@ -138,50 +105,35 @@ func getStream(key any, mk func() memoSource) *memoStream {
 // stream may run concurrently).
 type MemoGen struct {
 	s      *memoStream
-	prefix []Instr // local snapshot of the materialized prefix
+	chunks []*[memoGrowChunk]Instr // local snapshot of the chunk list
 	pos    int
-	tail   memoSource // private continuation past the memoized prefix
+	tail   *Gen // private continuation past the memoized prefix
 }
 
 // NewMemoGen builds a reader for the profile's seed stream, sharing the
 // materialized prefix with every other reader of the same (profile,
 // seed).
 func (p Profile) NewMemoGen(seed int64) *MemoGen {
-	s := getStream(memoKey{p, seed}, func() memoSource {
-		g := new(Gen)
-		p.initGen(g, seed)
-		return g
-	})
-	return &MemoGen{s: s}
-}
-
-// cloneReader returns an independent reader at the same position (used
-// when a relocated stream parks a MemoGen inside its generator and must
-// fork it).
-func (m *MemoGen) cloneReader() *MemoGen {
-	c := *m
-	if m.tail != nil {
-		c.tail = m.tail.clone()
-	}
-	return &c
+	return &MemoGen{s: getStream(memoKey{p, seed})}
 }
 
 // NextBatch implements BatchSource: identical to len(dst) Next calls.
 func (m *MemoGen) NextBatch(dst []Instr) int {
 	n := len(dst)
-	filled := 0
-	if m.pos < memoMaxInstrs && m.tail == nil {
-		if m.pos+n > len(m.prefix) {
-			m.prefix = m.s.extend(m.pos + n)
+	for len(dst) > 0 && m.pos < memoMaxInstrs {
+		c := m.pos / memoGrowChunk
+		if c == len(m.chunks) {
+			m.chunks = m.s.extend(m.pos + len(dst))
 		}
-		filled = copy(dst, m.prefix[m.pos:])
-		m.pos += filled
+		k := copy(dst, m.chunks[c][m.pos%memoGrowChunk:])
+		dst = dst[k:]
+		m.pos += k
 	}
-	if filled < n {
+	if len(dst) > 0 {
 		if m.tail == nil {
 			m.tail = m.s.forkGen()
 		}
-		m.tail.NextBatch(dst[filled:])
+		m.tail.NextBatch(dst)
 	}
 	return n
 }

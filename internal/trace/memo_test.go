@@ -1,8 +1,10 @@
 package trace
 
 import (
+	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"cppc/internal/lfrng"
 )
@@ -75,14 +77,21 @@ func TestMemoGenForksPastCap(t *testing.T) {
 }
 
 // TestMemoGenConcurrentReaders extends one stream from many goroutines
-// at once; run under -race this checks the snapshot discipline, and the
-// content check that concurrent extension stays bit-exact.
+// at once, across chunk boundaries and past the prefix cap (where each
+// reader forks the parked generator); run under -race this checks the
+// snapshot discipline, and the content check that concurrent extension
+// and forking stay bit-exact.
 func TestMemoGenConcurrentReaders(t *testing.T) {
 	p, ok := ProfileByName("swim")
 	if !ok {
 		t.Fatal("swim profile missing")
 	}
-	const n = 2*memoGrowChunk + 123
+	// Start from an empty prefix on every run (-count), so the readers
+	// race to extend it rather than copy a prefix an earlier run left.
+	memoMu.Lock()
+	delete(memoStreams, memoKey{p, 11})
+	memoMu.Unlock()
+	const n = memoMaxInstrs + 2*memoGrowChunk + 123
 	ref := make([]Instr, n)
 	p.NewGen(11).NextBatch(ref)
 
@@ -93,21 +102,20 @@ func TestMemoGenConcurrentReaders(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			m := p.NewMemoGen(11)
-			got := make([]Instr, n)
-			for pos := 0; pos < n; {
-				sz := 300 + 37*r // readers advance at different strides
-				if pos+sz > n {
-					sz = n - pos
-				}
-				m.NextBatch(got[pos : pos+sz])
-				pos += sz
-			}
+			// Readers advance at different strides, from a fraction of a
+			// chunk to more than two chunks per batch.
+			got := make([]Instr, 300+1237*r)
 			errs[r] = -1
-			for i := range ref {
-				if got[i] != ref[i] {
-					errs[r] = i
-					return
+			for pos := 0; pos < n; {
+				sz := min(len(got), n-pos)
+				m.NextBatch(got[:sz])
+				for i := range got[:sz] {
+					if got[i] != ref[pos+i] {
+						errs[r] = pos + i
+						return
+					}
 				}
+				pos += sz
 			}
 		}()
 	}
@@ -119,9 +127,47 @@ func TestMemoGenConcurrentReaders(t *testing.T) {
 	}
 }
 
+// TestMemoPrefixAllocatedOnce checks that a stream's prefix is allocated
+// once at its own size, not regrown and copied as it extends, and that
+// per-core streams share the base memo at every sharing fraction: the
+// coin is applied on read, so no relocated copy is memoized.
+func TestMemoPrefixAllocatedOnce(t *testing.T) {
+	p, ok := ProfileByName("vpr")
+	if !ok {
+		t.Fatal("vpr profile missing")
+	}
+	const seed = 2011 // no other test reads these streams
+	m := p.NewMemoGen(seed)
+	buf := make([]Instr, 1000)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for pos := 0; pos < memoMaxInstrs; pos += len(buf) {
+		m.NextBatch(buf[:min(len(buf), memoMaxInstrs-pos)])
+	}
+	runtime.ReadMemStats(&after)
+	prefix := float64(memoMaxInstrs) * float64(unsafe.Sizeof(Instr{}))
+	if got := float64(after.TotalAlloc - before.TotalAlloc); got > 1.1*prefix {
+		t.Errorf("draining a %d-instruction prefix allocated %.0f bytes, want at most 1.1 x %.0f", memoMaxInstrs, got, prefix)
+	}
+
+	const cores = 3
+	memoMu.Lock()
+	clear(memoStreams) // attached readers keep their streams
+	memoMu.Unlock()
+	for _, frac := range []float64{0, 0.3, 0.6} {
+		p.NewCoreGens(cores, frac, seed+1)
+	}
+	memoMu.Lock()
+	added := len(memoStreams)
+	memoMu.Unlock()
+	if added != cores {
+		t.Errorf("three sharing fractions of %d cores added %d memo streams, want %d", cores, added, cores)
+	}
+}
+
 // TestCoreGenMemoMatchesStream pins the CoreGen rewiring: the memoized
-// per-core stream with batch-applied relocation must equal the
-// reference construction (a plain Gen drawn per instruction with the
+// base stream with the coin applied on read must equal the reference
+// construction (a plain Gen drawn per instruction with the
 // coin interleaved), for sharing fractions on both sides of the coin.
 func TestCoreGenMemoMatchesStream(t *testing.T) {
 	p, ok := ProfileByName("gcc")
@@ -139,7 +185,10 @@ func TestCoreGenMemoMatchesStream(t *testing.T) {
 
 			const n = 700
 			got := make([]Instr, n)
-			g.NextBatch(got)
+			for j := range got[:16] {
+				got[j] = g.Next() // Next must flip the coin too
+			}
+			g.NextBatch(got[16:])
 			for j := 0; j < n; j++ {
 				want := base.Next()
 				if want.Op == OpLoad || want.Op == OpStore {

@@ -18,34 +18,45 @@ func coreStride(span int) uint64 {
 	return (uint64(span) + mb - 1) &^ uint64(mb-1)
 }
 
-// relocKey identifies one core's fully relocated stream: the base
-// (profile, seed) stream with the sharing coin applied. The stride is a
-// pure function of the profile, so it is not part of the key.
-type relocKey struct {
-	p    Profile
-	seed int64
-	core int
-	frac float64
-}
-
-// relocGen is the live generator behind a relocated stream: the
-// memoized base reader plus the sharing coin. It runs only inside the
-// memo (materializing the relocated prefix once per key) and when a
-// reader forks past the prefix cap.
-type relocGen struct {
-	base       *MemoGen
+// CoreGen is one core's stream: the memoized base (profile, per-core
+// seed) stream with the sharing coin applied on read. Only the base
+// stream is memoized, so every cell that runs a core, at any cell size
+// or sharing fraction, copies the same resident prefix. It implements
+// Source and BatchSource.
+type CoreGen struct {
+	MemoGen
 	coin       lfrng.Rand
 	sharedFrac float64
 	offset     uint64 // base of this core's private region
 }
 
-// NextBatch draws the base stream in one memo copy, then applies the
-// coin in stream order — the two RNGs never interleave state, so the
-// result matches a per-instruction interleaving exactly. One flip per
-// memory access keeps the base generator's draw sequence untouched, so
-// the shared and private sub-streams stay profile-shaped.
-func (g *relocGen) NextBatch(dst []Instr) int {
-	g.base.NextBatch(dst)
+// NewCoreGens builds one deterministic generator per core. sharedFrac is
+// the probability a memory access targets the shared region (the
+// profile's base footprint); everything else goes to the core's private
+// copy. Same (profile, cores, sharedFrac, seed) ⇒ identical streams.
+func (p Profile) NewCoreGens(cores int, sharedFrac float64, seed int64) []*CoreGen {
+	stride := coreStride(p.WorkingSetBytes + p.StoreBytes)
+	backing := make([]CoreGen, cores)
+	gens := make([]*CoreGen, cores)
+	for i := range backing {
+		g := &backing[i]
+		s := seed + int64(i)*0x9e3779b9 // distinct per-core seeds
+		g.MemoGen = MemoGen{s: getStream(memoKey{p, s})}
+		g.coin.Seed(s ^ 0x5deece66d)
+		g.sharedFrac = sharedFrac
+		g.offset = uint64(i+1) * stride
+		gens[i] = g
+	}
+	return gens
+}
+
+// NextBatch implements BatchSource. It copies the base stream, then
+// applies the coin in stream order — the two RNGs never interleave
+// state, so the result matches a per-instruction interleaving exactly.
+// One flip per memory access keeps the base generator's draw sequence
+// untouched, so the shared and private sub-streams stay profile-shaped.
+func (g *CoreGen) NextBatch(dst []Instr) int {
+	g.MemoGen.NextBatch(dst)
 	for i := range dst {
 		in := &dst[i]
 		if in.Op == OpLoad || in.Op == OpStore {
@@ -57,51 +68,11 @@ func (g *relocGen) NextBatch(dst []Instr) int {
 	return len(dst)
 }
 
-func (g *relocGen) clone() memoSource {
-	c := *g
-	c.base = g.base.cloneReader()
-	return &c
-}
-
-// CoreGen is one core's stream: the base stream with the sharing coin
-// applied, read through the process-wide memo. The *relocated* stream is
-// memoized — keyed by (profile, seed, core, fraction) — so a cell that
-// repeats a configuration (benchmark iterations, scheme comparisons on
-// the same trace) serves every core's instructions as a straight prefix
-// copy, with no per-instruction RNG work at all. It implements Source
-// and BatchSource.
-type CoreGen struct {
-	MemoGen
-}
-
-// NewCoreGens builds one deterministic generator per core. sharedFrac is
-// the probability a memory access targets the shared region (the
-// profile's base footprint); everything else goes to the core's private
-// copy. Same (profile, cores, sharedFrac, seed) ⇒ identical streams.
-func (p Profile) NewCoreGens(cores int, sharedFrac float64, seed int64) []*CoreGen {
-	backing := make([]CoreGen, cores)
-	gens := make([]*CoreGen, cores)
-	for i := range backing {
-		gens[i] = p.initCoreGen(&backing[i], i, sharedFrac, seed)
-	}
-	return gens
-}
-
-// initCoreGen builds core i's generator in place.
-func (p Profile) initCoreGen(g *CoreGen, i int, sharedFrac float64, seed int64) *CoreGen {
-	stride := coreStride(p.WorkingSetBytes + p.StoreBytes)
-	s := seed + int64(i)*0x9e3779b9 // distinct per-core seeds
-	stream := getStream(relocKey{p, s, i, sharedFrac}, func() memoSource {
-		r := &relocGen{
-			base:       p.NewMemoGen(s),
-			sharedFrac: sharedFrac,
-			offset:     uint64(i+1) * stride,
-		}
-		r.coin.Seed(s ^ 0x5deece66d)
-		return r
-	})
-	g.MemoGen = MemoGen{s: stream}
-	return g
+// Next implements Source (MemoGen's would skip the coin).
+func (g *CoreGen) Next() Instr {
+	var buf [1]Instr
+	g.NextBatch(buf[:])
+	return buf[0]
 }
 
 var (

@@ -90,8 +90,8 @@ type Profile struct {
 }
 
 // Gen produces the dynamic stream. Its state — including the RNG vector
-// and the recent-store window — is held inline so a generator costs one
-// allocation, and embedding (trace.CoreGen) costs none.
+// and the recent-store window — is held inline, so a generator costs one
+// allocation and a struct copy is an independent continuation.
 type Gen struct {
 	p   Profile
 	rng lfrng.Rand
