@@ -55,6 +55,13 @@ type Job struct {
 	result *Result
 	seq    int // submission number, the order Jobs lists in
 
+	// hitJSON and resultJSON are a done job's answers to a job-table hit
+	// (its snapshot with CacheHit set) and to GET /jobs/{id}/result, as
+	// writeJSON writes them. The first request that needs one encodes it,
+	// outside the lock, and keeps it (Service.keepAnswer); every later
+	// request writes the bytes as they are.
+	hitJSON, resultJSON []byte
+
 	// done is closed at the job's terminal transition; Run waits on it.
 	done chan struct{}
 

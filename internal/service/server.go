@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -67,6 +68,22 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// encodeJSON returns the bytes writeJSON writes for v: compact JSON and
+// a newline. On an encoding error it returns nothing, as writeJSON then
+// writes nothing.
+func encodeJSON(v any) []byte {
+	var buf bytes.Buffer
+	_ = json.NewEncoder(&buf).Encode(v)
+	return buf.Bytes()
+}
+
+// writeEncoded answers with b, an answer encodeJSON encoded earlier.
+func writeEncoded(w http.ResponseWriter, code int, b []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	_, _ = w.Write(b)
+}
+
 func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
@@ -85,7 +102,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, fmt.Errorf("bad job spec: %w", err))
 		return
 	}
-	job, err := s.svc.Submit(spec)
+	job, live, err := s.svc.submit(spec)
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		writeError(w, http.StatusTooManyRequests, err)
@@ -94,7 +111,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case err != nil:
 		writeError(w, http.StatusBadRequest, err)
 	case job.CacheHit:
-		writeJSON(w, http.StatusOK, job)
+		// A hit answers with a done job's snapshot, which never changes:
+		// the first hit encodes it, and later ones write those bytes.
+		b := job.hitJSON
+		if b == nil {
+			b = s.svc.keepAnswer(&live.hitJSON, encodeJSON(job))
+		}
+		writeEncoded(w, http.StatusOK, b)
 	default:
 		writeJSON(w, http.StatusAccepted, job)
 	}
@@ -114,17 +137,21 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	job, res, err := s.svc.JobResult(r.PathValue("id"))
+	job, live, err := s.svc.find(r.PathValue("id"))
 	if err != nil {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
-	if res == nil {
+	if job.result == nil {
 		writeError(w, http.StatusConflict,
 			fmt.Errorf("job %s is %s, no result yet", job.ID, job.State))
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	b := job.resultJSON
+	if b == nil {
+		b = s.svc.keepAnswer(&live.resultJSON, encodeJSON(job.result))
+	}
+	writeEncoded(w, http.StatusOK, b)
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -146,7 +173,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // The stream follows the job itself, so it ends with the terminal
 // snapshot even when the table evicts the job between two polls.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	live, err := s.svc.watch(r.PathValue("id"))
+	_, live, err := s.svc.find(r.PathValue("id"))
 	if err != nil {
 		writeError(w, http.StatusNotFound, err)
 		return

@@ -157,17 +157,17 @@ func (s *Service) Submit(spec JobSpec) (Job, error) {
 	return job, err
 }
 
-// submit is Submit that also hands back the registered job itself (nil
-// on a job-table hit), which Run reads once the job ends, whether or not
-// the table still holds it.
+// submit is Submit that also hands back the job itself: the registered
+// one, which Run reads once the job ends, whether or not the table still
+// holds it, or on a job-table hit the done job that answered.
 func (s *Service) submit(spec JobSpec) (Job, *Job, error) {
 	norm, err := spec.normalize()
 	if err != nil {
 		return Job{}, nil, err
 	}
 	hash := norm.hash()
-	if hit, ok, err := s.lookup(hash); ok || err != nil {
-		return hit, nil, err
+	if hit, done, err := s.lookup(hash); done != nil || err != nil {
+		return hit, done, err
 	}
 	plan := planCells(norm)
 
@@ -287,23 +287,23 @@ func (s *Service) submit(spec JobSpec) (Job, *Job, error) {
 }
 
 // lookup probes the job cache: a retained done job with the spec's hash
-// answers the submission, as a snapshot with CacheHit set. It counts the
-// hit or miss.
-func (s *Service) lookup(hash string) (Job, bool, error) {
+// answers the submission, as a snapshot with CacheHit set, and lookup
+// returns the job too (nil on a miss). It counts the hit or miss.
+func (s *Service) lookup(hash string) (Job, *Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return Job{}, false, ErrClosed
+		return Job{}, nil, ErrClosed
 	}
 	j, ok := s.byHash[hash]
 	if !ok {
 		s.cacheMisses++
-		return Job{}, false, nil
+		return Job{}, nil, nil
 	}
 	s.cacheHits++
 	hit := *j
 	hit.CacheHit = true
-	return hit, true, nil
+	return hit, j, nil
 }
 
 // Run submits spec and blocks until the job ends, returning its result.
@@ -346,20 +346,8 @@ func (s *Service) register(job *Job) {
 
 // Job returns a snapshot of one job.
 func (s *Service) Job(id string) (Job, error) {
-	j, _, err := s.JobResult(id)
+	j, _, err := s.find(id)
 	return j, err
-}
-
-// watch returns the job itself, for a caller that follows it through
-// snapshot past the point where the table may evict it.
-func (s *Service) watch(id string) (*Job, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return nil, ErrNotFound
-	}
-	return j, nil
 }
 
 // snapshot copies a job, whether or not the table still holds it.
@@ -371,13 +359,32 @@ func (s *Service) snapshot(j *Job) Job {
 
 // JobResult returns a finished job's result.
 func (s *Service) JobResult(id string) (Job, *Result, error) {
+	job, _, err := s.find(id)
+	return job, job.result, err
+}
+
+// find returns a snapshot of one job and the job itself, which a caller
+// may follow through snapshot past the point where the table evicts it,
+// or keep an answer on (keepAnswer).
+func (s *Service) find(id string) (Job, *Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
 	if !ok {
 		return Job{}, nil, ErrNotFound
 	}
-	return *j, j.result, nil
+	return *j, j, nil
+}
+
+// keepAnswer stores b, one of a done job's encoded answers, in *slot,
+// the job's field for it (see Job.hitJSON), and returns b. A done job
+// never changes, so the bytes never go stale, and two requests that
+// both found the slot empty store the same bytes.
+func (s *Service) keepAnswer(slot *[]byte, b []byte) []byte {
+	s.mu.Lock()
+	*slot = b
+	s.mu.Unlock()
+	return b
 }
 
 // Jobs lists snapshots of the retained jobs — every queued or running

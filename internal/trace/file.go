@@ -89,7 +89,7 @@ func parseDeps(fields []string, lineNo int, in *Instr) error {
 	if d1 > MaxDepDistance || d2 > MaxDepDistance {
 		return fmt.Errorf("trace line %d: dependencies %v reach past %d instructions", lineNo, fields, MaxDepDistance)
 	}
-	in.Dep1, in.Dep2 = int32(d1), int32(d2)
+	in.Dep1, in.Dep2 = int16(d1), int16(d2)
 	return nil
 }
 

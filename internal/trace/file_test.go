@@ -84,10 +84,12 @@ func TestParseTraceErrors(t *testing.T) {
 		"Q 0x1000",         // unknown op
 		"S 0x1000 -1 2",    // negative dep
 		"L 0x1000 1 bogus", // bad dep
-		// Distances past MaxDepDistance: one that int32 would wrap to 1,
-		// one it would wrap negative, and one the core's done ring would
-		// alias onto a later instruction.
+		// Distances past MaxDepDistance: ones that converting to the
+		// int16 field would wrap to 1, negative or 0, and one the core's
+		// done ring would alias onto a later instruction.
+		"L 0x1000 65537 0",
 		"L 0x1000 4294967297 0",
+		"L 0x1000 32768 0",
 		"L 0x1000 2147483648 0",
 		"A 0 129",
 	}

@@ -24,7 +24,7 @@ func FuzzParseTrace(f *testing.F) {
 			if (in.Op == OpLoad || in.Op == OpStore) && in.Addr%8 != 0 {
 				t.Fatalf("parser accepted misaligned address %#x", in.Addr)
 			}
-			for _, d := range []int32{in.Dep1, in.Dep2} {
+			for _, d := range []int16{in.Dep1, in.Dep2} {
 				if d < 0 || d > MaxDepDistance {
 					t.Fatalf("parser accepted dependency distance %d (bound %d)", d, MaxDepDistance)
 				}

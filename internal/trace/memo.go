@@ -17,9 +17,9 @@ const (
 	// past it, eviction recycles an arbitrary slot so a seed sweep
 	// cannot pin unbounded memory.
 	memoMaxStreams = 32
-	// memoMaxInstrs bounds the materialized prefix per stream (~6MB).
-	// Readers that outrun it fork the parked generator by value and
-	// continue privately. It is a whole number of chunks.
+	// memoMaxInstrs bounds the materialized prefix per stream (4 MiB of
+	// 16-byte Instrs). Readers that outrun it fork the parked generator
+	// by value and continue privately. It is a whole number of chunks.
 	memoMaxInstrs = 1 << 18
 	// memoGrowChunk is the unit the prefix grows by: each chunk is
 	// allocated once at this size and never copied, and alternating

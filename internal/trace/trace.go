@@ -46,11 +46,13 @@ func (o Op) String() string {
 
 // Instr is one dynamic instruction. Dep1/Dep2 are producer distances (how
 // many instructions back, at most MaxDepDistance), 0 meaning no register
-// dependency. The struct is kept at 16 bytes plus the address — it is
+// dependency. The struct is kept at 16 bytes, address included, because
+// the trace memo keeps up to memoMaxInstrs of them resident per stream
+// (4 MiB; int32 distances would pad it to 24 bytes and 6 MiB), and it is
 // copied twice per simulated instruction through the batching buffers.
 type Instr struct {
 	Addr       uint64 // word-aligned effective address (loads/stores)
-	Dep1, Dep2 int32
+	Dep1, Dep2 int16
 	Op         Op
 	Mispredict bool // branches only: this branch flushes the front end
 }
@@ -171,9 +173,9 @@ func (g *Gen) Next() Instr {
 	}
 	// Register dependencies: geometric-ish around DepDistance.
 	if p.DepDistance > 0 {
-		in.Dep1 = int32(1 + g.rng.IntnBound(g.depB))
+		in.Dep1 = int16(1 + g.rng.IntnBound(g.depB))
 		if g.rng.Int31()&1 == 0 {
-			in.Dep2 = int32(1 + g.rng.IntnBound(g.dep2B))
+			in.Dep2 = int16(1 + g.rng.IntnBound(g.dep2B))
 		}
 	}
 	return in

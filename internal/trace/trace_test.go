@@ -2,7 +2,18 @@ package trace
 
 import (
 	"testing"
+	"unsafe"
 )
+
+// TestInstrSize pins Instr at 16 bytes, address included. The trace memo
+// keeps up to memoMaxInstrs of them resident per stream, so every byte
+// here is 256 KiB per resident prefix.
+func TestInstrSize(t *testing.T) {
+	if got := unsafe.Sizeof(Instr{}); got != 16 {
+		t.Fatalf("Instr is %d bytes, want 16: each resident memo prefix would hold %d KiB instead of %d KiB",
+			got, memoMaxInstrs*int(got)>>10, memoMaxInstrs*16>>10)
+	}
+}
 
 func TestProfilesComplete(t *testing.T) {
 	ps := Profiles()
