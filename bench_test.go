@@ -314,9 +314,11 @@ func BenchmarkMonteCarloMTTF(b *testing.B) {
 }
 
 // BenchmarkMulticoreCell runs one Sec. 7 cell (gzip, two cores, 30%
-// shared), plain and with silent-store elision. The silent run also
+// shared) and asks for it plain and with silent-store elision. Either
+// way the cell simulates once on engines that count silent stores and
 // takes the energy accounting path end to end: per-engine fold and
-// elision counts, three energy reports and the bus model.
+// elision counts, both pricings of the L1 and L2 reports and the bus
+// model.
 func BenchmarkMulticoreCell(b *testing.B) {
 	p := profile(b, "gzip")
 	bud := experiments.Budget{Warmup: 5_000, Measure: 15_000, Seed: 1}

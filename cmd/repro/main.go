@@ -124,8 +124,9 @@ func main() {
 	}
 	if all || *sec7 {
 		fmt.Fprintln(os.Stderr, "running the timed Sec. 7 multiprocessor sweep...")
-		// The plain-CPPC sweep, then the cppc-silent one, so elision's
-		// saved write and fold energy reads off cell by cell.
+		// The plain-CPPC sweep, then the same cells priced with
+		// silent-store elision, so the saved write and fold energy reads
+		// off cell by cell. The second job simulates nothing.
 		for _, silent := range []bool{false, true} {
 			res := runJob(service.JobSpec{Kind: service.KindMulticore, Sweep: true, Silent: silent, Budget: budgetName, Seed: *seed})
 			fmt.Println(res.Artifacts["sec7"])

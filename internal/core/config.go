@@ -41,14 +41,14 @@ type Config struct {
 	// register pairs it is unnecessary (Sec. 4.11) and may be disabled.
 	ByteShifting bool
 
-	// SilentStoreElision enables the near-free optimization from the
-	// silent-write ECC literature: the incremental check-bit path already
-	// computes old^new on every store to a dirty granule, so detecting a
-	// silent store (old == new) costs one compare. An elided store skips
-	// the data-array write and both register folds — safe because a
-	// verified old equal to new contributes identically to R1 and R2,
-	// leaving R1^R2, the check bits and every detection outcome unchanged
-	// — and is counted in Events.SilentStoresElided for the energy model.
+	// SilentStoreElision prices the near-free optimization from the
+	// silent-write ECC literature: the read-before-write already reads a
+	// dirty granule's verified old value on every store, so detecting a
+	// silent store (old == new) costs one compare. The engine counts such
+	// stores in Events.SilentStoresElided and performs them like any
+	// other, which leaves R1^R2, the check bits and every detection
+	// outcome as an eliding cache would; energy.CountElided then prices
+	// the skipped data-array write and the two skipped register folds.
 	SilentStoreElision bool
 }
 
@@ -93,15 +93,16 @@ func DefaultL1Config() Config {
 // to the cache's dirty granule — here one L1 block.
 func DefaultL2Config() Config { return DefaultL1Config() }
 
-// SilentL1Config is DefaultL1Config with silent-store elision enabled
-// (the cppc-silent ablation).
+// SilentL1Config is DefaultL1Config with silent stores counted for
+// elision pricing (the cppc-silent ablation).
 func SilentL1Config() Config {
 	c := DefaultL1Config()
 	c.SilentStoreElision = true
 	return c
 }
 
-// SilentL2Config is DefaultL2Config with silent-store elision enabled.
+// SilentL2Config is DefaultL2Config with silent stores counted for
+// elision pricing.
 func SilentL2Config() Config {
 	c := DefaultL2Config()
 	c.SilentStoreElision = true

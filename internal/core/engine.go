@@ -21,9 +21,11 @@ type Events struct {
 	LocatorRuns     uint64
 	DUEs            uint64 // detected unrecoverable errors (step 7 halt)
 	RegisterScrubs  uint64 // register faults repaired from the cache (Sec. 4.9)
-	// SilentStoresElided counts stores skipped because the new value
-	// equaled the verified old one (Config.SilentStoreElision): no array
-	// write, no folds — the energy model subtracts both.
+	// SilentStoresElided counts the silent stores an eliding cache would
+	// skip (Config.SilentStoreElision): a verified old value, a dirty
+	// granule and every word equal. The engine still performs them, so
+	// the count changes no other state; energy.CountElided prices each
+	// as one array write and two folds saved.
 	SilentStoresElided uint64
 }
 
@@ -197,16 +199,11 @@ func (e *Engine) OnStore(set, way, g int, old []uint64, wasDirty, oldVerified bo
 	ln := e.C.Line(set, way)
 	data := e.GranuleData(ln, g)
 	if e.Cfg.SilentStoreElision && oldVerified && wasDirty && silentStore(old, data) {
-		// The store is silent: the verified old value equals the new one.
-		// Plain CPPC would fold new into R1 and old into R2 — equal
-		// contributions that cancel in R1^R2 — and XOR a zero delta into
-		// the check bits. Skipping all three is bit-identical for every
-		// detection outcome; only the energy counters differ. The granule
-		// stays dirty (the data is still newer than the next level's), so
-		// only the access timestamp needs refreshing.
+		// A silent store: the verified old value equals the new one. It
+		// is counted, then performed like any other store: new folds
+		// into R1 and the equal old into R2, which cancel in R1^R2, and
+		// the check-bit delta is zero. The energy model prices the skip.
 		e.Events.SilentStoresElided++
-		e.C.MarkDirty(set, way, g*e.granuleWords, now)
-		return
 	}
 	e.foldReg(e.r1, e.r1Par, pair, data, rot)
 	if wasDirty {

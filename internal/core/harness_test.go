@@ -15,6 +15,10 @@ type harness struct {
 	e   *Engine
 	mem *cache.Memory
 	now uint64
+
+	// eliding routes verified stores through elidingStore, the skipping
+	// reference (see silent_test.go).
+	eliding bool
 }
 
 // newHarness builds a small direct-mapped cache (16 sets x 32B blocks, one
@@ -57,16 +61,32 @@ func (h *harness) ensure(addr uint64) (set, way int) {
 		return set, way
 	}
 	way = h.c.Victim(set)
-	ln := h.c.Line(set, way)
-	if ln.Valid && ln.DirtyAny() {
-		h.e.OnEvictBlock(set, way)
-		h.mem.WriteBackBlock(h.c.BlockAddr(set, way), ln.Data, h.now)
-	}
+	h.writeBack(set, way)
 	buf := make([]uint64, h.c.Cfg.BlockWords())
 	h.mem.FetchBlock(addr, buf, h.now)
 	h.c.Install(set, way, addr, buf)
 	h.e.OnFill(set, way)
 	return set, way
+}
+
+// writeBack folds a valid dirty block out of the registers and writes it
+// to memory, as an eviction does.
+func (h *harness) writeBack(set, way int) {
+	ln := h.c.Line(set, way)
+	if ln.Valid && ln.DirtyAny() {
+		h.e.OnEvictBlock(set, way)
+		h.mem.WriteBackBlock(h.c.BlockAddr(set, way), ln.Data, h.now)
+	}
+}
+
+// evict writes back and invalidates the block holding addr, if resident.
+func (h *harness) evict(addr uint64) {
+	set, way := h.c.Probe(addr)
+	if way < 0 {
+		return
+	}
+	h.writeBack(set, way)
+	h.c.Invalidate(set, way)
 }
 
 // store performs a word store through the engine.

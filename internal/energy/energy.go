@@ -169,18 +169,22 @@ func Count(st cache.Stats, m *Model, accessWords int, folds uint64) Report {
 	return CountElided(st, m, accessWords, folds, 0)
 }
 
-// CountElided is Count for schemes that elide silent stores: elided is
-// the number of store hits whose data-array write was skipped because the
-// stored value equaled the resident one (detected for free on the
-// incremental check-bit path). Each elided store keeps its
+// CountElided is Count for a cache that elides silent stores: elided is
+// the number of store hits whose value equaled the verified dirty one
+// (core.Events.SilentStoresElided), and folds counts every fold the
+// engine performed, those stores' included. Each elided store keeps its
 // read-before-write energy — the old value was still read to detect the
-// silence — but pays no array write, and its skipped folds are already
-// absent from the folds counter.
+// silence — but pays no array write and skips two folds: the new data
+// into R1 and the displaced old data into R2. Pricing the skip is exact
+// because the two folds cancel in R1^R2 and the check-bit delta is
+// zero, so performing the store left no state an eliding cache would
+// not have.
 func CountElided(st cache.Stats, m *Model, accessWords int, folds, elided uint64) Report {
 	var r Report
 	if elided > st.StoreHits {
 		elided = st.StoreHits // counters from mismatched windows; don't go negative
 	}
+	folds -= min(folds, 2*elided) // the two folds each elided store skips
 	r.ReadPJ = float64(st.LoadHits) * m.Read(accessWords)
 	r.WritePJ = float64(st.StoreHits-elided) * m.Write(accessWords)
 	// Read-before-writes: word-wide except the whole-line victim reads

@@ -130,26 +130,43 @@ func TestRatioNaNOnEmptyBase(t *testing.T) {
 	}
 }
 
-func TestCountElidedSavesWriteEnergyOnly(t *testing.T) {
-	m := l1Model(8, 1)
-	st := cache.Stats{LoadHits: 100, StoreHits: 50, ReadBeforeWrite: 20, RBWOnMissLines: 5}
-	plain := Count(st, m, 1, 10)
-	elided := CountElided(st, m, 1, 10, 30)
-	if elided.WritePJ != 20*m.Write(1) {
-		t.Errorf("WritePJ = %v, want %v", elided.WritePJ, 20*m.Write(1))
-	}
-	// Elided stores keep their read-before-write (the silence was
-	// detected on that read); only the array write is saved.
-	if elided.ReadPJ != plain.ReadPJ || elided.RBWPJ != plain.RBWPJ || elided.FoldPJ != plain.FoldPJ {
-		t.Errorf("elision changed non-write components: %+v vs %+v", elided, plain)
-	}
-	if elided.Total() >= plain.Total() {
-		t.Error("elision did not lower total energy")
-	}
-	// Counter clamp: elided beyond store hits zeroes rather than going
-	// negative.
-	if r := CountElided(st, m, 1, 0, 1000); r.WritePJ != 0 {
-		t.Errorf("clamped WritePJ = %v, want 0", r.WritePJ)
+// TestCountElidedPricesSkippedWriteAndFolds pins the elision pricing:
+// folds counts every fold the engine performed, and each elided store
+// saves exactly one array write and two folds while keeping its
+// read-before-write.
+func TestCountElidedPricesSkippedWriteAndFolds(t *testing.T) {
+	for _, m := range []*Model{l1Model(8, 1), New(cache.L2Config(), 8, 1)} {
+		w := m.Cfg.DirtyGranuleWords
+		st := cache.Stats{LoadHits: 100, StoreHits: 50, ReadBeforeWrite: 20, RBWOnMissLines: 5}
+		const folds, elided = 90, 30
+		plain := Count(st, m, w, folds)
+		got := CountElided(st, m, w, folds, elided)
+		// Each elided store pays no write and two folds fewer, exactly.
+		if want := float64(st.StoreHits-elided) * m.Write(w); got.WritePJ != want {
+			t.Errorf("WritePJ = %v, want %v", got.WritePJ, want)
+		}
+		if want := float64(folds-2*elided) * FoldEnergy(w); got.FoldPJ != want {
+			t.Errorf("FoldPJ = %v, want %v", got.FoldPJ, want)
+		}
+		// So the savings are elided × Write(w) and 2 × elided × FoldEnergy,
+		// up to rounding.
+		near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-12*math.Abs(b) }
+		if !near(plain.WritePJ-got.WritePJ, elided*m.Write(w)) || !near(plain.FoldPJ-got.FoldPJ, 2*elided*FoldEnergy(w)) {
+			t.Errorf("savings %v write, %v fold; want %v, %v",
+				plain.WritePJ-got.WritePJ, plain.FoldPJ-got.FoldPJ, elided*m.Write(w), 2*elided*FoldEnergy(w))
+		}
+		if got.ReadPJ != plain.ReadPJ || got.RBWPJ != plain.RBWPJ {
+			t.Errorf("elision changed read or RBW energy: %+v vs %+v", got, plain)
+		}
+		// Counter clamps: elided beyond store hits, or two folds per
+		// elided store beyond the folds counted, zero the component
+		// rather than going negative.
+		if r := CountElided(st, m, w, 1000, 1000); r.WritePJ != 0 {
+			t.Errorf("clamped WritePJ = %v, want 0", r.WritePJ)
+		}
+		if r := CountElided(st, m, w, 10, elided); r.FoldPJ != 0 {
+			t.Errorf("clamped FoldPJ = %v, want 0", r.FoldPJ)
+		}
 	}
 }
 

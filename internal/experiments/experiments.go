@@ -98,7 +98,8 @@ type Run struct {
 
 // Energy prices the run's measured L1 and L2 traffic with its scheme's
 // energy models, the ones Figs. 11 and 12 use. Only a CPPC scheme pays
-// for register folds and saves the writes of elided silent stores.
+// for register folds and saves the writes and folds of elided silent
+// stores.
 func (r Run) Energy() (l1, l2 energy.Report) {
 	var folds, elided struct{ L1, L2 uint64 }
 	if isCPPC(r.Scheme) {

@@ -14,13 +14,16 @@ import (
 )
 
 // MulticoreRun is one timed multicore cell: N OoO cores in lock step over
-// the coherent CPPC hierarchy. The struct stays comparable with == so
-// determinism tests can assert run equality directly.
+// the coherent CPPC hierarchy, priced as plain CPPC or, with Silent, with
+// silent-store elision. Both pricings of a cell share every field but
+// Silent, the elided counts and the L1 and L2 energy. The struct stays
+// comparable with == so determinism tests can assert run equality
+// directly.
 type MulticoreRun struct {
 	Bench        string
 	Cores        int
 	SharedFrac   float64
-	Silent       bool    // silent-store elision enabled in both levels
+	Silent       bool    // priced with silent-store elision in both levels
 	CPI          float64 // wall-clock cycles over instructions per core
 	Cycles       uint64  // measured wall-clock cycles
 	Instructions uint64  // measured instructions, summed across cores
@@ -28,9 +31,9 @@ type MulticoreRun struct {
 	L2           cache.Stats
 	Coherence    coherence.Stats
 	DirtyL1      float64 // dirty fraction averaged across L1s
-	FoldsL1      uint64  // register folds summed across L1 engines
+	FoldsL1      uint64  // register folds performed, summed across L1 engines
 	FoldsL2      uint64
-	ElidedL1     uint64 // silent stores elided, summed across L1 engines
+	ElidedL1     uint64 // silent stores elided, summed across L1 engines; 0 unless Silent
 	ElidedL2     uint64
 	EnergyL1     energy.Report // all private L1s summed
 	EnergyL2     energy.Report
@@ -44,24 +47,36 @@ func (r MulticoreRun) TotalEnergyPJ() float64 {
 	return r.EnergyL1.Total() + r.EnergyL2.Total() + r.EnergyBus.Total()
 }
 
-// MulticoreCellCtx runs one (profile, cores, sharedFrac) cell; silent
-// selects the cppc-silent variant in both cache levels. The run is
-// deterministic for a given (profile, cores, sharedFrac, silent,
-// budget): per-core trace seeds derive from b.Seed and the lock-step
-// order is fixed.
+// MulticoreCellCtx runs one (profile, cores, sharedFrac) cell and
+// returns it priced as silent asks: plain CPPC, or CPPC with silent-store
+// elision in both cache levels. Both pricings come from the one
+// simulation MulticoreCellPricings runs. The run is deterministic for a
+// given (profile, cores, sharedFrac, budget): per-core trace seeds derive
+// from b.Seed and the lock-step order is fixed.
 func MulticoreCellCtx(ctx context.Context, prof trace.Profile, cores int, sharedFrac float64, silent bool, b Budget) (MulticoreRun, error) {
+	plain, elided, err := MulticoreCellPricings(ctx, prof, cores, sharedFrac, b)
+	if silent {
+		return elided, err
+	}
+	return plain, err
+}
+
+// MulticoreCellPricings simulates one cell once and prices it twice:
+// plain is plain CPPC, and silent prices the same run with silent-store
+// elision in both levels. The engines count silent stores and perform
+// them (core.Config.SilentStoreElision), and energy.CountElided prices
+// the skip, so one simulation answers both.
+func MulticoreCellPricings(ctx context.Context, prof trace.Profile, cores int, sharedFrac float64, b Budget) (plain, silent MulticoreRun, err error) {
 	if cores <= 0 || cores > 64 {
-		return MulticoreRun{}, fmt.Errorf("multicore: cores must be in [1,64], got %d", cores)
+		return plain, silent, fmt.Errorf("multicore: cores must be in [1,64], got %d", cores)
 	}
 	if sharedFrac < 0 || sharedFrac > 1 {
-		return MulticoreRun{}, fmt.Errorf("multicore: shared fraction %v outside [0,1]", sharedFrac)
+		return plain, silent, fmt.Errorf("multicore: shared fraction %v outside [0,1]", sharedFrac)
 	}
-	// Per-core Table 1 L1s over a shared Table 1 L2, both CPPC-protected.
+	// Per-core Table 1 L1s over a shared Table 1 L2, both CPPC-protected
+	// by engines that count silent stores.
 	l1cfg, l2cfg := cache.L1DConfig(), cache.L2Config()
-	mk := schemes["cppc"]
-	if silent {
-		mk = schemes["cppc-silent"]
-	}
+	mk := schemes["cppc-silent"]
 	m := coherence.New(cores, l1cfg, l2cfg, mk, mk, 200)
 	defer m.Release()
 	m.Timing = coherence.DefaultTiming()
@@ -74,7 +89,7 @@ func MulticoreCellCtx(ctx context.Context, prof trace.Profile, cores int, shared
 	}
 	cl, err := cpu.NewCluster(cpu.Table1Config(), ports, srcs)
 	if err != nil {
-		return MulticoreRun{}, err
+		return plain, silent, err
 	}
 	defer cl.Release()
 	// Idle-pool-worker hint: per-core trace generation fans out, coherence
@@ -82,15 +97,15 @@ func MulticoreCellCtx(ctx context.Context, prof trace.Profile, cores int, shared
 	cl.SetWorkers(CellWorkers(ctx))
 	warm, err := cl.RunCtx(ctx, b.Warmup, 0)
 	if err != nil {
-		return MulticoreRun{}, err
+		return plain, silent, err
 	}
 	m.ResetStats()
 	meas, err := cl.RunCtx(ctx, b.Measure, 0)
 	if err != nil {
-		return MulticoreRun{}, err
+		return plain, silent, err
 	}
-	r := MulticoreRun{
-		Bench: prof.Name, Cores: cores, SharedFrac: sharedFrac, Silent: silent,
+	plain = MulticoreRun{
+		Bench: prof.Name, Cores: cores, SharedFrac: sharedFrac,
 		Cycles:       meas.Cycles - warm.Cycles,
 		Instructions: meas.Instructions,
 		L1:           m.TotalL1Stats(),
@@ -99,7 +114,7 @@ func MulticoreCellCtx(ctx context.Context, prof trace.Profile, cores int, shared
 		Halted:       meas.Halted,
 	}
 	if per := meas.Instructions / uint64(cores); per > 0 {
-		r.CPI = float64(r.Cycles) / float64(per)
+		plain.CPI = float64(plain.Cycles) / float64(per)
 	}
 	// Energy over the measurement window only: ResetStats zeroed the cache
 	// stats AND every engine's event counters at the warmup boundary, so
@@ -108,18 +123,27 @@ func MulticoreCellCtx(ctx context.Context, prof trace.Profile, cores int, shared
 	l2s := m.L2.Scheme.(*protect.CPPCScheme)
 	l1Model := energy.New(l1cfg, l1s.CheckBitsPerGranule(), l1s.BitlineFactor())
 	l2Model := energy.New(l2cfg, l2s.CheckBitsPerGranule(), l2s.BitlineFactor())
+	var elidedL1 uint64
+	var silentL1 energy.Report
 	for _, l1 := range m.L1s {
 		ev := l1.Scheme.(*protect.CPPCScheme).Engine.Events
-		r.FoldsL1 += ev.Folds
-		r.ElidedL1 += ev.SilentStoresElided
-		r.EnergyL1.Add(energy.CountElided(l1.Stats, l1Model, 1, ev.Folds, ev.SilentStoresElided))
-		r.DirtyL1 += l1.C.DirtyFraction() / float64(cores)
+		plain.FoldsL1 += ev.Folds
+		elidedL1 += ev.SilentStoresElided
+		plain.EnergyL1.Add(energy.Count(l1.Stats, l1Model, 1, ev.Folds))
+		silentL1.Add(energy.CountElided(l1.Stats, l1Model, 1, ev.Folds, ev.SilentStoresElided))
+		plain.DirtyL1 += l1.C.DirtyFraction() / float64(cores)
 	}
 	l2ev := l2s.Engine.Events
-	r.FoldsL2, r.ElidedL2 = l2ev.Folds, l2ev.SilentStoresElided
-	r.EnergyL2 = energy.CountElided(m.L2.Stats, l2Model, l1cfg.BlockWords(), l2ev.Folds, l2ev.SilentStoresElided)
-	r.EnergyBus = energy.CountCoherence(m.Stats, energy.NewBus(l1cfg.BlockWords()))
-	return r, nil
+	plain.FoldsL2 = l2ev.Folds
+	plain.EnergyL2 = energy.Count(m.L2.Stats, l2Model, l1cfg.BlockWords(), l2ev.Folds)
+	plain.EnergyBus = energy.CountCoherence(m.Stats, energy.NewBus(l1cfg.BlockWords()))
+
+	silent = plain
+	silent.Silent = true
+	silent.ElidedL1, silent.ElidedL2 = elidedL1, l2ev.SilentStoresElided
+	silent.EnergyL1 = silentL1
+	silent.EnergyL2 = energy.CountElided(m.L2.Stats, l2Model, l1cfg.BlockWords(), l2ev.Folds, l2ev.SilentStoresElided)
+	return plain, silent, nil
 }
 
 // MulticorePoint is one (cores, sharedFrac) cell of the Sec. 7 sweep.
@@ -155,9 +179,10 @@ func Section7Points() []MulticorePoint {
 // the CPI column shows what bus occupancy and invalidation traffic cost.
 // The energy columns price L1s+L2+bus over the measurement window;
 // "energy vs 1 core" normalizes against the private single-core cell.
-// A sweep of cppc-silent cells (silent-store elision in both levels)
-// renders with its own title, so next to the plain sweep it shows the
-// saved write and fold energy cell by cell at identical CPI.
+// The same cells priced with silent-store elision in both levels
+// (Silent) render with their own title, so next to the plain sweep the
+// table shows the saved write and fold energy cell by cell at identical
+// CPI.
 func Section7Table(runs []MulticoreRun) string {
 	title := "Sec. 7: timed write-invalidate coherence vs. CPPC read-before-writes"
 	if len(runs) > 0 && runs[0].Silent {

@@ -2,12 +2,14 @@ package experiments
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
 	"cppc/internal/cache"
 	"cppc/internal/coherence"
 	"cppc/internal/cpu"
+	"cppc/internal/energy"
 	"cppc/internal/protect"
 	"cppc/internal/trace"
 )
@@ -96,11 +98,11 @@ func TestSection7TableGuardsDegenerateRuns(t *testing.T) {
 	}
 }
 
-// TestMulticoreSilentElision: at the same sweep point the cppc-silent
-// hierarchy must be timing- and detection-identical to plain CPPC —
-// same CPI, cycles, cache and coherence stats — while eliding a
-// non-zero number of silent stores and spending strictly less write and
-// fold energy.
+// TestMulticoreSilentElision: both pricings of a sweep point come from
+// one simulation, so the cppc-silent cell equals the plain one in
+// timing, cache and coherence stats and folds, counts a non-zero number
+// of silent stores, and spends less energy by exactly the priced
+// savings: one L1 or L2 write and two folds per elided store.
 func TestMulticoreSilentElision(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timed multicore simulation")
@@ -118,6 +120,9 @@ func TestMulticoreSilentElision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if p2, s2, err := MulticoreCellPricings(context.Background(), p, 2, 0.3, b); err != nil || p2 != plain || s2 != silent {
+		t.Errorf("MulticoreCellPricings disagrees with MulticoreCellCtx (err %v)", err)
+	}
 	if plain.CPI != silent.CPI || plain.Cycles != silent.Cycles {
 		t.Errorf("elision changed timing: plain CPI %v / %d cycles, silent %v / %d",
 			plain.CPI, plain.Cycles, silent.CPI, silent.Cycles)
@@ -125,26 +130,40 @@ func TestMulticoreSilentElision(t *testing.T) {
 	if plain.L1 != silent.L1 || plain.L2 != silent.L2 || plain.Coherence != silent.Coherence {
 		t.Error("elision changed cache or coherence statistics")
 	}
+	if plain.FoldsL1 != silent.FoldsL1 || plain.FoldsL2 != silent.FoldsL2 {
+		t.Errorf("folds differ: plain %d/%d, silent %d/%d", plain.FoldsL1, plain.FoldsL2, silent.FoldsL1, silent.FoldsL2)
+	}
+	if plain.ElidedL1 != 0 || plain.ElidedL2 != 0 || plain.Silent || !silent.Silent {
+		t.Errorf("pricing labels: plain elided %d/%d silent=%v, silent run silent=%v",
+			plain.ElidedL1, plain.ElidedL2, plain.Silent, silent.Silent)
+	}
 	if silent.ElidedL1 == 0 {
 		t.Fatal("no silent stores elided; assertions below are vacuous")
 	}
-	if got, want := plain.FoldsL1-silent.FoldsL1, 2*silent.ElidedL1; got != want {
-		t.Errorf("L1 fold savings = %d, want 2*elided = %d", got, want)
-	}
-	pw := plain.EnergyL1.WritePJ + plain.EnergyL1.FoldPJ + plain.EnergyL2.WritePJ + plain.EnergyL2.FoldPJ
-	sw := silent.EnergyL1.WritePJ + silent.EnergyL1.FoldPJ + silent.EnergyL2.WritePJ + silent.EnergyL2.FoldPJ
-	if sw >= pw {
-		t.Errorf("silent write+fold energy %v not below plain %v", sw, pw)
+	checkElisionPricing(t, "L1", plain.EnergyL1, silent.EnergyL1, l1EnergyModel(CPPC), 1, silent.ElidedL1)
+	checkElisionPricing(t, "L2", plain.EnergyL2, silent.EnergyL2, l2EnergyModel(CPPC), cache.L1DConfig().BlockWords(), silent.ElidedL2)
+	if plain.EnergyBus != silent.EnergyBus {
+		t.Error("elision changed bus energy")
 	}
 	if silent.TotalEnergyPJ() >= plain.TotalEnergyPJ() {
 		t.Errorf("silent total energy %v not below plain %v", silent.TotalEnergyPJ(), plain.TotalEnergyPJ())
 	}
-	// The non-saved components are untouched.
-	if plain.EnergyL1.ReadPJ != silent.EnergyL1.ReadPJ || plain.EnergyL1.RBWPJ != silent.EnergyL1.RBWPJ {
-		t.Error("elision changed read or RBW energy")
+}
+
+// checkElisionPricing fails the test unless silent is plain less exactly
+// the priced savings of elided stores — one write of words words and two
+// folds each, up to rounding — with read and RBW energy unchanged.
+func checkElisionPricing(t *testing.T, level string, plain, silent energy.Report, m *energy.Model, words int, elided uint64) {
+	t.Helper()
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Abs(b) }
+	wantWrite := float64(elided) * m.Write(words)
+	wantFold := 2 * float64(elided) * energy.FoldEnergy(m.Cfg.DirtyGranuleWords)
+	if !near(plain.WritePJ-silent.WritePJ, wantWrite) || !near(plain.FoldPJ-silent.FoldPJ, wantFold) {
+		t.Errorf("%s savings: write %v fold %v, want %v and %v", level,
+			plain.WritePJ-silent.WritePJ, plain.FoldPJ-silent.FoldPJ, wantWrite, wantFold)
 	}
-	if plain.EnergyBus != silent.EnergyBus {
-		t.Error("elision changed bus energy")
+	if plain.ReadPJ != silent.ReadPJ || plain.RBWPJ != silent.RBWPJ {
+		t.Errorf("%s: elision changed read or RBW energy", level)
 	}
 }
 
@@ -177,8 +196,9 @@ func TestMulticoreSilentDeterminism(t *testing.T) {
 }
 
 // TestSimulateSilentBitIdentical: on the single-core system, the
-// cppc-silent scheme must reproduce plain CPPC's timing and cache
-// behavior exactly while recording a non-zero elision count.
+// cppc-silent scheme performs every store plain CPPC does, so timing,
+// cache stats and folds are equal, and its energy falls by exactly the
+// priced savings of its non-zero elision count.
 func TestSimulateSilentBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timed simulation")
@@ -199,18 +219,22 @@ func TestSimulateSilentBitIdentical(t *testing.T) {
 	if plain.CPI != silent.CPI {
 		t.Errorf("elision changed CPI: %v vs %v", plain.CPI, silent.CPI)
 	}
-	if plain.L1 != silent.L1 || plain.L2 != silent.L2 {
+	if plain.L1 != silent.L1 || plain.L2 != silent.L2 || plain.L1Gran != silent.L1Gran || plain.L2Gran != silent.L2Gran {
 		t.Error("elision changed cache statistics")
+	}
+	if plain.Folds != silent.Folds {
+		t.Errorf("folds differ: plain %+v, silent %+v", plain.Folds, silent.Folds)
 	}
 	if silent.Elided.L1 == 0 {
 		t.Fatal("no L1 stores elided; the comparison is vacuous")
 	}
-	if got, want := plain.Folds.L1-silent.Folds.L1, 2*silent.Elided.L1; got != want {
-		t.Errorf("L1 fold savings = %d, want 2*elided = %d", got, want)
-	}
 	if plain.Elided.L1 != 0 || plain.Elided.L2 != 0 {
 		t.Error("plain CPPC recorded elisions")
 	}
+	pl1, pl2 := plain.Energy()
+	sl1, sl2 := silent.Energy()
+	checkElisionPricing(t, "L1", pl1, sl1, l1EnergyModel(CPPC), 1, silent.Elided.L1)
+	checkElisionPricing(t, "L2", pl2, sl2, l2EnergyModel(CPPC), 4, silent.Elided.L2)
 }
 
 // TestSilentStoreAblationReport smoke-tests the Fig. 11/12-style

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -20,6 +21,8 @@ func codecCells() map[string]cellResult {
 	run.L1.Misses = 1<<52 + 3
 	run.L1Gran.Dirty = 0.12345678901234567
 	mc := experiments.MulticoreRun{Bench: "gzip", Cores: 2, SharedFrac: 0.3, CPI: 1.25, Cycles: 1<<40 + 1}
+	mcSilent := mc
+	mcSilent.Silent, mcSilent.ElidedL1 = true, 3
 	l3 := experiments.L3Run{Bench: "mcf", ParityCPI: 2.0000000000000004, RBWPerStoreL3: 0.1}
 	camp := experiments.MonteCarloCell{Scheme: "cppc", Analytic: 1.5e9}
 	camp.Res.Trials, camp.Res.MeanAccessesToFailure = 3, 1234.5678901234567
@@ -28,7 +31,7 @@ func codecCells() map[string]cellResult {
 	field.Counts.Corrected, field.Counts.SDC = 17, 3
 	return map[string]cellResult{
 		KindSimulate:   {Run: &run},
-		KindMulticore:  {Multicore: &mc},
+		KindMulticore:  {Multicore: &mc, MulticoreSilent: &mcSilent},
 		KindL3:         {L3: &l3},
 		KindMonteCarlo: {MC: &camp},
 		KindFieldMC:    {FieldMC: &field},
@@ -106,24 +109,27 @@ func TestForeignKindBlobRecomputed(t *testing.T) {
 }
 
 // TestMulticoreCellCodecRoundTrip pins the multicore cell codec on the
-// fields the Sec. 7 energy columns aggregate from: the per-level energy
-// reports, fold/elision counters and the silent flag must survive the
+// fields the Sec. 7 energy columns aggregate from: both pricings' energy
+// reports, fold/elision counters and silent flags must survive the
 // disk/wire encoding exactly, or sharded sweeps would drift from
 // sequential ones.
 func TestMulticoreCellCodecRoundTrip(t *testing.T) {
-	run := experiments.MulticoreRun{
-		Bench: "gzip", Cores: 2, SharedFrac: 0.3, Silent: true,
+	plain := experiments.MulticoreRun{
+		Bench: "gzip", Cores: 2, SharedFrac: 0.3,
 		CPI: 1.0625437891234567, Cycles: 123456, Instructions: 30000,
 	}
-	run.L1.StoreHits = 1<<52 + 3
-	run.L2.Misses = 7
-	run.Coherence.Invalidations = 11
-	run.FoldsL1, run.FoldsL2 = 1<<40+1, 17
-	run.ElidedL1, run.ElidedL2 = 99, 3
-	run.EnergyL1 = energy.Report{ReadPJ: 0.12345678901234567, WritePJ: 42.5, RBWPJ: 7, FoldPJ: 1e-9}
-	run.EnergyL2 = energy.Report{ReadPJ: 2}
-	run.EnergyBus = energy.Report{RBWPJ: 3.5}
-	in := cellResult{Multicore: &run}
+	plain.L1.StoreHits = 1<<52 + 3
+	plain.L2.Misses = 7
+	plain.Coherence.Invalidations = 11
+	plain.FoldsL1, plain.FoldsL2 = 1<<40+1, 17
+	plain.EnergyL1 = energy.Report{ReadPJ: 0.12345678901234567, WritePJ: 42.5, RBWPJ: 7, FoldPJ: 1e-9}
+	plain.EnergyL2 = energy.Report{ReadPJ: 2}
+	plain.EnergyBus = energy.Report{RBWPJ: 3.5}
+	silent := plain
+	silent.Silent = true
+	silent.ElidedL1, silent.ElidedL2 = 99, 3
+	silent.EnergyL1.WritePJ, silent.EnergyL1.FoldPJ = 40.00000000000001, 0
+	in := cellResult{Multicore: &plain, MulticoreSilent: &silent}
 
 	data, err := encodeCell(in)
 	if err != nil {
@@ -133,8 +139,65 @@ func TestMulticoreCellCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if out.Multicore == nil || *out.Multicore != run {
-		t.Fatalf("round trip lost data: %+v vs %+v", out.Multicore, run)
+	if out.Multicore == nil || *out.Multicore != plain || out.MulticoreSilent == nil || *out.MulticoreSilent != silent {
+		t.Fatalf("round trip lost data: %+v, %+v vs %+v, %+v", out.Multicore, out.MulticoreSilent, plain, silent)
+	}
+}
+
+// unpricedMulticoreBlob and skippingSilentBlob are the cell blobs an
+// engine that skipped silent stores encoded for the multicore point
+// {gzip, 2 cores, shared 0.3, warmup 2000, measure 5000, seed 1}, plain
+// and silent. Each carries one pricing under the "multicore" key.
+const (
+	unpricedMulticoreBlob = `{"multicore":{"Bench":"gzip","Cores":2,"SharedFrac":0.3,"Silent":false,"CPI":23.6844,"Cycles":118422,"Instructions":10000,"L1":{"Loads":2675,"Stores":1015,"LoadHits":1277,"StoreHits":724,"Misses":1689,"Fills":1689,"WriteBack":258,"ReadBeforeWrite":313,"RBWOnMissLines":0,"SubWordRMW":0,"FaultsDetected":0,"FaultsCorrected":0,"CleanRefetches":0,"UnrecoverableDUE":0},"L2":{"Loads":1689,"Stores":258,"LoadHits":475,"StoreHits":258,"Misses":1214,"Fills":1214,"WriteBack":0,"ReadBeforeWrite":109,"RBWOnMissLines":0,"SubWordRMW":0,"FaultsDetected":0,"FaultsCorrected":0,"CleanRefetches":0,"UnrecoverableDUE":0},"Coherence":{"BusReads":1398,"BusReadX":327,"Invalidations":89,"OwnerFlushes":38,"OwnerWritebackInvalidations":66,"BusBusyCycles":8118},"DirtyL1":0.032121930803571425,"FoldsL1":1852,"FoldsL2":367,"ElidedL1":0,"ElidedL2":0,"EnergyL1":{"ReadPJ":63880.648,"WritePJ":41649.9824,"RBWPJ":15657.512,"FoldPJ":2274.2560000000003},"EnergyL2":{"ReadPJ":233459.59073948598,"WritePJ":145826.23278401158,"RBWPJ":53572.832401271524,"FoldPJ":1802.704},"EnergyBus":{"ReadPJ":18453.6,"WritePJ":2068.8,"RBWPJ":1372.8,"FoldPJ":0},"Halted":false}}`
+	skippingSilentBlob    = `{"multicore":{"Bench":"gzip","Cores":2,"SharedFrac":0.3,"Silent":true,"CPI":23.6844,"Cycles":118422,"Instructions":10000,"L1":{"Loads":2675,"Stores":1015,"LoadHits":1277,"StoreHits":724,"Misses":1689,"Fills":1689,"WriteBack":258,"ReadBeforeWrite":313,"RBWOnMissLines":0,"SubWordRMW":0,"FaultsDetected":0,"FaultsCorrected":0,"CleanRefetches":0,"UnrecoverableDUE":0},"L2":{"Loads":1689,"Stores":258,"LoadHits":475,"StoreHits":258,"Misses":1214,"Fills":1214,"WriteBack":0,"ReadBeforeWrite":109,"RBWOnMissLines":0,"SubWordRMW":0,"FaultsDetected":0,"FaultsCorrected":0,"CleanRefetches":0,"UnrecoverableDUE":0},"Coherence":{"BusReads":1398,"BusReadX":327,"Invalidations":89,"OwnerFlushes":38,"OwnerWritebackInvalidations":66,"BusBusyCycles":8118},"DirtyL1":0.032121930803571425,"FoldsL1":1696,"FoldsL2":367,"ElidedL1":78,"ElidedL2":0,"EnergyL1":{"ReadPJ":63880.648,"WritePJ":37162.8296,"RBWPJ":15657.512,"FoldPJ":2082.688},"EnergyL2":{"ReadPJ":233459.59073948598,"WritePJ":145826.23278401158,"RBWPJ":53572.832401271524,"FoldPJ":1802.704},"EnergyBus":{"ReadPJ":18453.6,"WritePJ":2068.8,"RBWPJ":1372.8,"FoldPJ":0},"Halted":false}}`
+)
+
+// TestUnpricedMulticoreBlobRecomputed: a plain multicore cell keeps its
+// hash, so a -data-dir disk tier or an older fleet peer can hand back a
+// blob encoded before cells carried their silent pricing. decodeCell
+// refuses it, so a silent point recomputes the cell instead of rendering
+// zero savings, and answers what the skipping engine's silent run did:
+// both pricings reproduce the blobs' answers.
+func TestUnpricedMulticoreBlobRecomputed(t *testing.T) {
+	if _, err := decodeCell(KindMulticore, []byte(unpricedMulticoreBlob)); err == nil {
+		t.Fatal("a multicore blob without its silent pricing decoded")
+	}
+	spec := JobSpec{Kind: KindMulticore, Cores: 2, SharedFrac: 0.3, Warmup: 2000, Measure: 5000}
+	norm, err := spec.normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := cellstore.NewMemory(0)
+	store.Put(planCells(norm)[0].hash(), []byte(unpricedMulticoreBlob))
+	s := New(Config{Workers: 1, Store: store})
+	defer s.Shutdown(context.Background())
+
+	for _, silent := range []bool{true, false} {
+		blob := unpricedMulticoreBlob
+		if silent {
+			blob = skippingSilentBlob
+		}
+		var old cellResult
+		if err := json.Unmarshal([]byte(blob), &old); err != nil {
+			t.Fatal(err)
+		}
+		spec.Silent = silent
+		got, err := s.Run(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := spec.normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := aggregate(n, []cellResult{{Multicore: old.Multicore, MulticoreSilent: old.Multicore}})
+		if !reflect.DeepEqual(got.Artifacts, want.Artifacts) || !reflect.DeepEqual(got.Values, want.Values) {
+			t.Errorf("silent=%v answer differs from the skipping engine's:\n got %+v\nwant %+v", silent, got, want)
+		}
+	}
+	if n := s.Metrics().CellsExecuted; n != 1 {
+		t.Errorf("%d cells executed, want 1: the blob recomputes once, then both pricings share it", n)
 	}
 }
 
@@ -154,6 +217,7 @@ func FuzzDecodeCell(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"run":null,"mc":{}}`))
 	f.Add([]byte(`{"run":{"Scheme":99}}`))
+	f.Add([]byte(unpricedMulticoreBlob))
 	jobs := map[string]JobSpec{
 		KindSimulate:   {Kind: KindSimulate, Bench: "gzip", Scheme: "cppc"},
 		KindMulticore:  {Kind: KindMulticore},

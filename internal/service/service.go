@@ -852,11 +852,11 @@ func executeCell(ctx context.Context, spec JobSpec) (cellResult, error) {
 		return cellResult{Run: &run}, nil
 	case KindMulticore:
 		prof, _ := trace.ProfileByName(spec.Bench)
-		run, err := experiments.MulticoreCellCtx(ctx, prof, spec.Cores, spec.SharedFrac, spec.Silent, spec.budget())
+		plain, silent, err := experiments.MulticoreCellPricings(ctx, prof, spec.Cores, spec.SharedFrac, spec.budget())
 		if err != nil {
 			return cellResult{}, err
 		}
-		return cellResult{Multicore: &run}, nil
+		return cellResult{Multicore: &plain, MulticoreSilent: &silent}, nil
 	case KindL3:
 		prof, _ := trace.ProfileByName(spec.Bench)
 		run, err := experiments.L3Cell(ctx, prof, spec.budget())
@@ -943,11 +943,11 @@ func aggregate(spec JobSpec, cells []cellResult) *Result {
 	case spec.Kind == KindMulticore && spec.Sweep:
 		runs := make([]experiments.MulticoreRun, 0, len(cells))
 		for _, c := range cells {
-			runs = append(runs, *c.Multicore)
+			runs = append(runs, c.multicoreRun(spec.Silent))
 		}
 		res.Artifacts["sec7"] = experiments.Section7Table(runs)
 	case spec.Kind == KindMulticore:
-		run := cells[0].Multicore
+		run := cells[0].multicoreRun(spec.Silent)
 		rbwPerStore := 0.0
 		if run.L1.Stores > 0 {
 			rbwPerStore = float64(run.L1.ReadBeforeWrite) / float64(run.L1.Stores)

@@ -425,9 +425,11 @@ func TestFieldMCSpecNormalization(t *testing.T) {
 
 // TestShardedSilentSweepByteIdentical requires the silent-store sweep —
 // sharded on one worker and on eight — to render the Sec. 7 table
-// byte-identical to the table rendered straight from its cells, and the
-// silent knob to address its own cache cells (a plain point must not
-// hit a silent cell).
+// byte-identical to the table rendered from sequential silent cells.
+// Silent is a rendering choice, not a cell coordinate: a silent sweep
+// after the plain one (one worker), or a plain sweep after the silent
+// one (eight), executes no cell, and a plain point and a silent point
+// both complete from the sweep's cells.
 func TestShardedSilentSweepByteIdentical(t *testing.T) {
 	budget := experiments.Budget{Warmup: tinyWarmup, Measure: tinyMeasure, Seed: 1}
 	prof, ok := trace.ProfileByName("gzip")
@@ -445,39 +447,50 @@ func TestShardedSilentSweepByteIdentical(t *testing.T) {
 	}
 	want := experiments.Section7Table(runs)
 
-	for _, workers := range []int{1, 8} {
-		s := service.New(service.Config{Workers: workers})
+	sweep := func(s *service.Service, silent bool) (string, bool) {
+		t.Helper()
 		job := submitSpec(t, s, service.JobSpec{
-			Kind: "multicore", Sweep: true, Silent: true, Warmup: tinyWarmup, Measure: tinyMeasure,
+			Kind: "multicore", Sweep: true, Silent: silent, Warmup: tinyWarmup, Measure: tinyMeasure,
 		})
-		waitJob(t, s, job.ID, jobDone, 120*time.Second)
+		done := waitJob(t, s, job.ID, jobDone, 120*time.Second)
 		_, res, err := s.JobResult(job.ID)
 		if err != nil || res == nil {
-			t.Fatalf("silent sweep result on %d workers: %+v, %v", workers, res, err)
+			t.Fatalf("silent=%v sweep result: %+v, %v", silent, res, err)
 		}
-		if res.Artifacts["sec7"] != want {
-			t.Fatalf("silent sweep on %d workers diverges from the sequential table:\n%s\nwant:\n%s",
-				workers, res.Artifacts["sec7"], want)
+		return res.Artifacts["sec7"], done.CacheHit
+	}
+	for _, workers := range []int{1, 8} {
+		s := service.New(service.Config{Workers: workers})
+		// The silent sweep runs second on one worker, first on eight.
+		silentFirst := workers == 8
+		table, _ := sweep(s, silentFirst)
+		executed := s.Metrics().CellsExecuted
+		if executed != len(pts) {
+			t.Errorf("first sweep executed %d cells, want %d", executed, len(pts))
+		}
+		again, hit := sweep(s, !silentFirst)
+		if !hit || s.Metrics().CellsExecuted != executed {
+			t.Errorf("second sweep on %d workers: cache hit %v, %d cells executed, want a hit from the first sweep's %d cells",
+				workers, hit, s.Metrics().CellsExecuted, executed)
+		}
+		if !silentFirst {
+			table = again
+		}
+		if table != want {
+			t.Fatalf("silent sweep on %d workers diverges from the sequential table:\n%s\nwant:\n%s", workers, table, want)
 		}
 		if workers == 1 {
-			// A silent point completes from the sweep's cells; a plain
-			// point at the same coordinates must not.
-			hitsBefore := s.Metrics().CellCacheHits
-			silentPt := submitSpec(t, s, service.JobSpec{
-				Kind: "multicore", Cores: 8, SharedFrac: 0.6, Silent: true,
-				Warmup: tinyWarmup, Measure: tinyMeasure,
-			})
-			waitJob(t, s, silentPt.ID, jobDone, 60*time.Second)
-			if s.Metrics().CellCacheHits == hitsBefore {
-				t.Error("silent point did not reuse the silent sweep's cell")
+			for _, silent := range []bool{false, true} {
+				pt := submitSpec(t, s, service.JobSpec{
+					Kind: "multicore", Cores: 8, SharedFrac: 0.6, Silent: silent,
+					Warmup: tinyWarmup, Measure: tinyMeasure,
+				})
+				if !pt.CacheHit || pt.State != service.StateDone {
+					t.Errorf("silent=%v point did not complete from the sweep's cells: %+v", silent, pt)
+				}
 			}
-			plainPt := submitSpec(t, s, service.JobSpec{
-				Kind: "multicore", Cores: 8, SharedFrac: 0.6,
-				Warmup: tinyWarmup, Measure: tinyMeasure,
-			})
-			done := waitJob(t, s, plainPt.ID, jobDone, 60*time.Second)
-			if done.CacheHit {
-				t.Error("plain point hit the silent sweep's cache entry")
+			if n := s.Metrics().CellsExecuted; n != executed {
+				t.Errorf("points executed %d cells, want 0", n-executed)
 			}
 		}
 		shutdown(t, s)

@@ -74,8 +74,9 @@ type JobSpec struct {
 	Rate      string `json:"rate,omitempty"`      // x1 | x4
 
 	// Multicore jobs: core count and the fraction of each core's memory
-	// accesses that target the shared region. Silent selects the
-	// cppc-silent variant (silent-store elision) in both cache levels.
+	// accesses that target the shared region. Silent renders the cells
+	// priced with silent-store elision in both cache levels; the cells
+	// are the plain job's, so it stays in the job's hash but in no cell's.
 	Cores      int     `json:"cores,omitempty"`
 	SharedFrac float64 `json:"shared_frac,omitempty"`
 	Silent     bool    `json:"silent,omitempty"`
@@ -303,13 +304,17 @@ func planCells(n JobSpec) []JobSpec {
 			cells = append(cells, cell(c))
 		}
 		return cells
-	case n.Kind == KindMulticore && n.Sweep:
-		pts := experiments.Section7Points()
+	case n.Kind == KindMulticore:
+		// Silent is a rendering choice: one cell carries both pricings,
+		// so no cell spec carries it.
+		pts := []experiments.MulticorePoint{{Cores: n.Cores, SharedFrac: n.SharedFrac}}
+		if n.Sweep {
+			pts = experiments.Section7Points()
+		}
 		cells := make([]JobSpec, 0, len(pts))
 		for _, pt := range pts {
 			c := base
 			c.Kind, c.Bench, c.Cores, c.SharedFrac = KindMulticore, n.Bench, pt.Cores, pt.SharedFrac
-			c.Silent = n.Silent
 			cells = append(cells, cell(c))
 		}
 		return cells
@@ -344,8 +349,8 @@ func planCells(n JobSpec) []JobSpec {
 		}
 		return cells
 	default:
-		// Already a single cell (simulate, multicore point, l3 bench,
-		// single-scheme montecarlo).
+		// Already a single cell (simulate, l3 bench, single-scheme
+		// montecarlo, fieldmc grid cell).
 		return []JobSpec{n}
 	}
 }
