@@ -6,8 +6,6 @@
 //	cppcd                          # listen on :8322
 //	cppcd -addr :9000 -workers 4   # bounded worker pool
 //	cppcd -data-dir /var/lib/cppc  # cell results survive restarts
-//	cppcd -peers http://b:8322     # share the cell cache with daemon b
-//	cppcd -peers ... -fleet-token s3cret   # require the secret on /fleet/*
 //
 //	curl -s localhost:8322/jobs -d '{"kind":"suite","budget":"quick","figures":["fig10"]}'
 //	curl -s localhost:8322/jobs/job-1
@@ -27,12 +25,10 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"cppc/internal/cellstore"
-	"cppc/internal/fleet"
 	"cppc/internal/service"
 )
 
@@ -45,12 +41,8 @@ func main() {
 		drain     = flag.Duration("drain", 2*time.Minute, "max time to drain in-flight jobs on shutdown")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
 
-		dataDir     = flag.String("data-dir", "", "directory for the disk cell store; empty keeps cells in memory only")
-		dataMax     = flag.Int64("data-max", cellstore.DefaultDiskMaxBytes, "disk cell store size bound in bytes")
-		peersFlag   = flag.String("peers", "", "comma-separated peer base URLs (e.g. http://b:8322,http://c:8322); empty disables fleet mode")
-		peerTimeout = flag.Duration("peer-timeout", 5*time.Second, "budget to wait on a peer before falling back to local execution")
-		fleetID     = flag.String("fleet-id", "", "node ID for fleet claim tie-breaks (default hostname+addr)")
-		fleetToken  = flag.String("fleet-token", "", "shared secret required on /fleet/* requests; every daemon in the fleet must use the same value (empty disables auth)")
+		dataDir = flag.String("data-dir", "", "directory for the disk cell store; empty keeps cells in memory only")
+		dataMax = flag.Int64("data-max", cellstore.DefaultDiskMaxBytes, "disk cell store size bound in bytes")
 	)
 	flag.Parse()
 
@@ -67,40 +59,7 @@ func main() {
 	}
 
 	svc := service.New(service.Config{Workers: *workers, QueueSize: *queue, CacheSize: *cacheSz, Store: store})
-
-	mux := http.NewServeMux()
-	mux.Handle("/", service.NewServer(svc).Handler())
-
-	// Fleet mode: mount the peer protocol next to the job API and hand
-	// the service its coordinator before traffic arrives.
-	var node *fleet.Node
-	if *peersFlag != "" {
-		var peers []string
-		for _, p := range strings.Split(*peersFlag, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				peers = append(peers, strings.TrimSuffix(p, "/"))
-			}
-		}
-		self := *fleetID
-		if self == "" {
-			host, _ := os.Hostname()
-			self = host + *addr
-		}
-		node = fleet.New(fleet.Config{
-			Self:        self,
-			Peers:       peers,
-			Local:       store,
-			Exec:        svc,
-			PeerTimeout: *peerTimeout,
-			Token:       *fleetToken,
-			Logf:        log.Printf,
-		})
-		svc.SetCoordinator(node)
-		mux.Handle("/fleet/", node.Handler())
-		log.Printf("cppcd: fleet mode as %q with %d peers (peer timeout %v)", self, len(peers), *peerTimeout)
-	}
-
-	srv := &http.Server{Addr: *addr, Handler: mux}
+	srv := &http.Server{Addr: *addr, Handler: service.NewServer(svc).Handler()}
 
 	if *pprofAddr != "" {
 		// Profiling stays off the job-facing listener so exposing the
@@ -124,12 +83,8 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	if node != nil {
-		// Only poll peers once our own /fleet/ routes are being served.
-		node.Start()
-	}
 	log.Printf("cppcd: listening on %s (%d workers, queue %d, cache %d)",
-		*addr, *workers, *queue, *cacheSz)
+		*addr, svc.Metrics().Workers, *queue, *cacheSz)
 
 	select {
 	case err := <-errc:
@@ -141,10 +96,6 @@ func main() {
 
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
-	if node != nil {
-		// Stop stealing before the drain so no new cells land here.
-		node.Close()
-	}
 	// Stop the listener first so no new jobs arrive, then drain the pool.
 	if err := srv.Shutdown(shutdownCtx); err != nil {
 		log.Printf("cppcd: http shutdown: %v", err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -14,10 +15,9 @@ import (
 // visible. Nothing is preloaded — a restarted daemon warm-starts lazily,
 // paying one file read per first Get of a surviving cell. The tier is
 // size-bounded: Put evicts the oldest entries (by modification time at
-// startup, then insertion order) until the directory fits maxBytes
-// again. One daemon owns a directory at a time; sharing a dir between
-// live processes is not supported (the fleet protocol is how daemons
-// share results).
+// startup, then write order) until the directory fits maxBytes again.
+// One daemon owns a directory at a time; sharing a dir between live
+// processes is not supported.
 type Disk struct {
 	dir      string
 	maxBytes int64
@@ -66,7 +66,10 @@ func (d *Disk) Get(hash string) ([]byte, bool) {
 
 // Put writes the entry atomically and GCs the tier back under its byte
 // budget. Write or rename failures drop the entry silently (the memory
-// tier above still has it; the cell can always be recomputed).
+// tier above still has it; the cell can always be recomputed). An entry
+// already under hash is replaced, as Store says: the service rewrites a
+// hash only when the bytes stored under it failed to decode and it
+// recomputed the cell.
 func (d *Disk) Put(hash string, data []byte) {
 	if !validHash(hash) {
 		return
@@ -74,9 +77,6 @@ func (d *Disk) Put(hash string, data []byte) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.ensureIndexLocked()
-	if _, ok := d.sizes[hash]; ok {
-		return // content-addressed: an existing entry is already correct
-	}
 	tmp, err := os.CreateTemp(d.dir, ".tmp-*")
 	if err != nil {
 		return
@@ -90,6 +90,12 @@ func (d *Disk) Put(hash string, data []byte) {
 	if err := os.Rename(tmp.Name(), filepath.Join(d.dir, hash)); err != nil {
 		os.Remove(tmp.Name())
 		return
+	}
+	if old, ok := d.sizes[hash]; ok {
+		// The rename replaced an older file: the entry is now the
+		// newest, as its modification time says after a restart.
+		d.bytes -= old
+		d.order = slices.DeleteFunc(d.order, func(h string) bool { return h == hash })
 	}
 	d.sizes[hash] = int64(len(data))
 	d.order = append(d.order, hash)

@@ -1,9 +1,8 @@
 // Package cellstore is the storage seam under the daemon's cell cache:
 // a content-addressed byte store keyed by a cell spec's canonical hash.
 // The service composes tiers of it — a bounded in-memory tier in front
-// of a disk tier that survives restarts, with fleet peers consulted
-// behind the same seam — so the planner → run queue → delivery path
-// never knows where a cell result came from.
+// of an optional disk tier that survives restarts — so the planner →
+// run queue → delivery path never knows where a cell result came from.
 //
 // Values are opaque bytes (the service's canonical cell encoding); keys
 // are 64-char lowercase hex SHA-256 strings. Stores are safe for
@@ -36,9 +35,8 @@ type Store interface {
 }
 
 // validHash reports whether h is a well-formed cell hash: exactly 64
-// lowercase hex characters. The disk tier uses hashes as file names and
-// the fleet protocol accepts them from the network, so anything else is
-// rejected before it can touch a path.
+// lowercase hex characters. The disk tier uses hashes as file names, so
+// anything else is rejected before it can touch a path.
 func validHash(h string) bool {
 	if len(h) != 64 {
 		return false
@@ -51,10 +49,6 @@ func validHash(h string) bool {
 	}
 	return true
 }
-
-// ValidHash is validHash for other packages (the fleet HTTP handlers
-// validate client-supplied hashes with the same rule).
-func ValidHash(h string) bool { return validHash(h) }
 
 // Tiered composes stores into one read-through, write-through cache.
 // Get tries each tier in order and backfills every earlier tier on a

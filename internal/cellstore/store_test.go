@@ -118,6 +118,33 @@ func TestDiskPutGetWarmRestart(t *testing.T) {
 	}
 }
 
+// TestDiskPutReplaces: a second Put under a hash replaces the file and
+// its accounting, so a recomputed cell heals a torn or foreign entry
+// instead of leaving it for every restart to recompute again.
+func TestDiskPutReplaces(t *testing.T) {
+	dir := t.TempDir()
+	d, err := NewDisk(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad, good := []byte("foreign blob, longer than the cell"), []byte("cell")
+	d.Put(h(1), bad)
+	d.Put(h(1), good)
+	if got, ok := d.Get(h(1)); !ok || !bytes.Equal(got, good) {
+		t.Fatalf("get after replacing put = %q, %v", got, ok)
+	}
+	if st := d.Stats()[0]; st.Entries != 1 || st.Bytes != int64(len(good)) {
+		t.Fatalf("index after replacing put = %+v, want 1 entry of %d bytes", st, len(good))
+	}
+	again, err := NewDisk(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := again.Get(h(1)); !ok || !bytes.Equal(got, good) {
+		t.Fatalf("restart get = %q, %v", got, ok)
+	}
+}
+
 // TestDiskGC bounds the tier: puts beyond maxBytes evict the oldest
 // files, on the index carried across a restart too.
 func TestDiskGC(t *testing.T) {
@@ -147,7 +174,7 @@ func TestDiskGC(t *testing.T) {
 	// No stray temp files, and only entry files remain.
 	files, _ := os.ReadDir(dir)
 	for _, f := range files {
-		if !ValidHash(f.Name()) {
+		if !validHash(f.Name()) {
 			t.Fatalf("stray file %q in store dir", f.Name())
 		}
 	}

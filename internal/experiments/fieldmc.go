@@ -20,7 +20,7 @@ import (
 // Every cell draws its workload and placements from the same seed, so
 // schemes face identical fault sequences (a paired comparison, like the
 // Monte-Carlo validation) and cells are byte-identical wherever they
-// run — the property the daemon's cell cache and the fleet rely on.
+// run — the property the daemon's cell cache relies on.
 
 // FieldPoint is one grid point: a fault class and an arrival rate.
 type FieldPoint struct {

@@ -59,8 +59,9 @@ type Campaign struct {
 
 // New builds a campaign around a controller and its backing memory. The
 // workload and placement stream comes from the repo's lagged-Fibonacci
-// generator (internal/lfrng), so campaign cells hash identically on
-// every toolchain — a requirement for the fleet cell cache.
+// generator (internal/lfrng), so campaign cells come out identical on
+// every toolchain — a requirement for the disk cell store, which keeps
+// cells across rebuilds.
 func New(ct *protect.Controller, mem *cache.Memory, seed int64) *Campaign {
 	c := new(Campaign)
 	c.Reset(ct, mem, seed)

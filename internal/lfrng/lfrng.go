@@ -9,8 +9,8 @@
 // Go versions.
 //
 // It began life inside internal/trace (which still aliases it); the
-// fault campaigns share it so that fleet-cached cells hash identically
-// on every daemon regardless of toolchain.
+// fault campaigns share it so that cached cells stay byte-identical
+// regardless of toolchain.
 //
 // The seeding table in table.go is generated from the toolchain's
 // math/rand source; regenerate it only if the stdlib stream ever

@@ -39,10 +39,11 @@ func codecCells() map[string]cellResult {
 }
 
 // TestCellCodecRoundTrip requires the canonical cell encoding to
-// reproduce every kind's typed result exactly — the property the
-// byte-identical fleet reports rest on — and decoding to be
-// kind-checked: another kind's blob, a torn or foreign blob, or a suite
-// (never a cell) must be rejected, not decoded as this kind's cell.
+// reproduce every kind's typed result exactly — the property that makes
+// a report built from stored cells byte-identical to a fresh one — and
+// decoding to be kind-checked: another kind's blob, a torn or foreign
+// blob, or a suite (never a cell) must be rejected, not decoded as this
+// kind's cell.
 func TestCellCodecRoundTrip(t *testing.T) {
 	cells := codecCells()
 	for kind, in := range cells {
@@ -74,13 +75,20 @@ func TestCellCodecRoundTrip(t *testing.T) {
 }
 
 // TestForeignKindBlobRecomputed: a stored blob of another kind under a
-// cell's hash (a stale disk entry, a bad peer push) must not fail the
-// job. It is recomputed like a torn blob, the job finishes, and the
-// entry is overwritten with the cell's own result.
+// cell's hash (a stale disk entry) must not fail the job. It is
+// recomputed like a torn blob, the job finishes, and the entry is
+// overwritten with the cell's own result in every tier, so a daemon
+// restarted over the same data dir executes nothing.
 func TestForeignKindBlobRecomputed(t *testing.T) {
-	store := cellstore.NewMemory(16)
-	s := New(Config{Workers: 1, Store: store})
-	defer s.Shutdown(context.Background())
+	dir := t.TempDir()
+	newService := func() (*Service, *cellstore.Memory, *cellstore.Disk) {
+		disk, err := cellstore.NewDisk(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mem := cellstore.NewMemory(16)
+		return New(Config{Workers: 1, Store: cellstore.NewTiered(mem, disk)}), mem, disk
+	}
 	spec := JobSpec{Kind: KindSimulate, Bench: "gzip", Scheme: "cppc", Warmup: 2_000, Measure: 5_000}
 	norm, err := spec.normalize()
 	if err != nil {
@@ -90,28 +98,45 @@ func TestForeignKindBlobRecomputed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store.Put(norm.hash(), foreign)
 
-	res, err := s.Run(context.Background(), spec)
+	s, mem, disk := newService()
+	disk.Put(norm.hash(), foreign)
+	want, err := s.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("run over a foreign blob: %v", err)
 	}
-	if res.Values["cpi"] <= 0 {
-		t.Errorf("cpi = %v, want a computed value", res.Values["cpi"])
+	s.Shutdown(context.Background())
+	if want.Values["cpi"] <= 0 {
+		t.Errorf("cpi = %v, want a computed value", want.Values["cpi"])
 	}
-	data, ok := store.Get(norm.hash())
-	if !ok {
-		t.Fatal("store entry dropped")
+	for _, tier := range []cellstore.Store{mem, disk} {
+		data, ok := tier.Get(norm.hash())
+		if !ok {
+			t.Fatalf("%s entry dropped", tier.Stats()[0].Tier)
+		}
+		if _, err := decodeCell(KindSimulate, data); err != nil {
+			t.Errorf("%s entry not overwritten with the simulate result: %v", tier.Stats()[0].Tier, err)
+		}
 	}
-	if _, err := decodeCell(KindSimulate, data); err != nil {
-		t.Errorf("store entry not overwritten with the simulate result: %v", err)
+
+	s, _, _ = newService()
+	defer s.Shutdown(context.Background())
+	got, err := s.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatalf("run after restart: %v", err)
+	}
+	if n := s.Metrics().CellsExecuted; n != 0 {
+		t.Errorf("restart over the healed data dir executed %d cells, want 0", n)
+	}
+	if !reflect.DeepEqual(got.Artifacts, want.Artifacts) || !reflect.DeepEqual(got.Values, want.Values) {
+		t.Errorf("restart answer differs:\n got %+v\nwant %+v", got, want)
 	}
 }
 
 // TestMulticoreCellCodecRoundTrip pins the multicore cell codec on the
 // fields the Sec. 7 energy columns aggregate from: both pricings' energy
 // reports, fold/elision counters and silent flags must survive the
-// disk/wire encoding exactly, or sharded sweeps would drift from
+// stored encoding exactly, or sharded sweeps would drift from
 // sequential ones.
 func TestMulticoreCellCodecRoundTrip(t *testing.T) {
 	plain := experiments.MulticoreRun{
@@ -154,8 +179,8 @@ const (
 )
 
 // TestUnpricedMulticoreBlobRecomputed: a plain multicore cell keeps its
-// hash, so a -data-dir disk tier or an older fleet peer can hand back a
-// blob encoded before cells carried their silent pricing. decodeCell
+// hash, so a -data-dir disk tier can hand back a blob encoded before
+// cells carried their silent pricing. decodeCell
 // refuses it, so a silent point recomputes the cell instead of rendering
 // zero savings, and answers what the skipping engine's silent run did:
 // both pricings reproduce the blobs' answers.

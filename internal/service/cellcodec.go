@@ -31,21 +31,20 @@ func (c cellResult) multicoreRun(silent bool) experiments.MulticoreRun {
 }
 
 // encodeCell renders a cell result into the canonical bytes every store
-// tier and the fleet wire protocol carry. JSON round-trips each field
-// exactly (integers verbatim, float64s in shortest re-parsable form), so
-// a cell decoded from disk or a peer aggregates into reports
-// byte-identical to a locally computed one.
+// tier carries. JSON round-trips each field exactly (integers verbatim,
+// float64s in shortest re-parsable form), so a cell decoded from disk
+// aggregates into reports byte-identical to a freshly computed one.
 func encodeCell(res cellResult) ([]byte, error) {
 	return json.Marshal(res)
 }
 
 // decodeCell parses stored bytes back into the typed result of a cell
 // of the given kind. A blob lacking that kind's payload is rejected, so
-// a torn disk write, a malformed peer response or another kind's cell
-// can't masquerade as this cell — callers fall back to recomputation,
-// and aggregate can rely on every cell carrying its kind's payload. A
-// multicore cell encoded before it carried its silent pricing lacks
-// half its payload and recomputes too.
+// a torn disk write or another kind's cell can't masquerade as this
+// cell — callers fall back to recomputation, and aggregate can rely on
+// every cell carrying its kind's payload. A multicore cell encoded
+// before it carried its silent pricing lacks half its payload and
+// recomputes too.
 func decodeCell(kind string, data []byte) (cellResult, error) {
 	var res cellResult
 	if err := json.Unmarshal(data, &res); err != nil {

@@ -30,10 +30,9 @@ type Metrics struct {
 	JobsByKind    map[string]int `json:"jobs_by_kind,omitempty"` // submissions per job kind
 
 	// Shard scheduler gauges: cells are the unit workers actually run.
-	// CellsCompleted counts cells a local worker delivered (including
-	// store hits); CellsExecuted counts simulations this process ran,
-	// including cells stolen from fleet peers — in a healthy fleet the
-	// sum of CellsExecuted across daemons equals the distinct cells.
+	// CellsCompleted counts cells a worker delivered (including store
+	// hits); CellsExecuted counts the simulations this process ran:
+	// the cells that missed the store.
 	CellsQueued    int `json:"cells_queued"`
 	CellsRunning   int `json:"cells_running"`
 	CellsCompleted int `json:"cells_completed"`
@@ -68,10 +67,6 @@ type Metrics struct {
 	// StoreTiers breaks the cell store down per tier (memory, disk);
 	// the legacy cell_cache_* fields above mirror the memory tier.
 	StoreTiers []cellstore.Stats `json:"store_tiers,omitempty"`
-
-	// Fleet carries the coordinator's counters (peer hits, claims won
-	// and lost, cells stolen, local fallbacks) when fleet mode is on.
-	Fleet map[string]int64 `json:"fleet,omitempty"`
 }
 
 // Metrics snapshots the counters.
@@ -85,11 +80,6 @@ func (s *Service) Metrics() Metrics {
 			break
 		}
 	}
-	var fleetStats map[string]int64
-	if coord := s.coordinator(); coord != nil {
-		fleetStats = coord.Stats()
-	}
-
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	uptime := time.Since(s.started)
@@ -116,7 +106,6 @@ func (s *Service) Metrics() Metrics {
 		CellCacheMisses:  cMisses,
 		CellCacheEntries: cEntries,
 		StoreTiers:       tiers,
-		Fleet:            fleetStats,
 	}
 	if len(s.jobsByKind) > 0 {
 		m.JobsByKind = make(map[string]int, len(s.jobsByKind))

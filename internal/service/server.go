@@ -45,11 +45,11 @@ func NewServer(svc *Service) *Server {
 	return s
 }
 
-// handleHealthz is the readiness probe fleet membership checks and load
-// balancers key off: 200 while the daemon accepts jobs, 503 once a
-// drain has begun so traffic (and peer steals) stop landing here.
+// handleHealthz is the readiness probe load balancers and supervisors
+// key off: 200 while the daemon accepts jobs, 503 once a drain has
+// begun so traffic stops landing here.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if s.svc.Draining() {
+	if s.svc.draining() {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}

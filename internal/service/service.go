@@ -27,27 +27,6 @@ type Config struct {
 	Store cellstore.Store
 }
 
-// Coordinator distributes cell execution across a fleet of daemons. The
-// scheduler calls RunCell for every cell that missed the local store;
-// the coordinator may fetch the result from a peer, claim the cell
-// fleet-wide and run local, or — when peers are slow or dead — fall back
-// to local anyway. internal/fleet implements it; nil means single-daemon.
-type Coordinator interface {
-	// RunCell returns the cell's canonical encoded bytes. local executes
-	// the cell in this process and must be the fallback whenever peers
-	// cannot produce the result.
-	RunCell(ctx context.Context, hash string, local func(context.Context) ([]byte, error)) ([]byte, error)
-	// Stats returns fleet counters for /metrics.
-	Stats() map[string]int64
-}
-
-// QueuedCell is one cell awaiting a local worker, exposed over the fleet
-// protocol so idle peers can steal it.
-type QueuedCell struct {
-	Hash string  `json:"hash"`
-	Spec JobSpec `json:"spec"`
-}
-
 // Errors surfaced to the HTTP layer.
 var (
 	ErrNotFound  = errors.New("no such job")
@@ -108,9 +87,7 @@ type Service struct {
 	jobsByKind                             map[string]int
 	cacheHits, cacheMisses                 uint64 // job-table probes at submit
 	cellsCompleted                         int
-	cellsExecuted                          int // cells this process actually simulated (incl. fleet steals)
-
-	coord Coordinator // fleet coordinator; nil means single-daemon
+	cellsExecuted                          int // cells this process actually simulated
 
 	wg sync.WaitGroup
 }
@@ -695,55 +672,20 @@ func (s *Service) failLocked(p *Job, err error, canceled bool, end time.Time) {
 }
 
 // runCell produces one cell's result through the store seam: a result
-// computed earlier — by another job, by a previous process over the same
-// data dir, or by a fleet peer — is decoded and reused; otherwise the
-// cell executes, locally or wherever the fleet coordinator decides, and
-// the canonical bytes are written through every store tier. Runs outside
-// s.mu.
+// computed earlier, by another job or by a previous process over the
+// same data dir, is decoded and reused; otherwise the cell executes and
+// its canonical bytes are written through every store tier. The fresh
+// result is decoded from those bytes too, so a cold answer and a
+// warm-restart answer are built from the same bytes. CellsExecuted
+// counts exactly the simulations this process ran. Runs outside s.mu.
 func (s *Service) runCell(ctx context.Context, hash string, spec JobSpec) (cellResult, error) {
 	if data, ok := s.store.Get(hash); ok {
 		if res, err := decodeCell(spec.Kind, data); err == nil {
 			return res, nil
 		}
-		// A corrupt or foreign entry (torn disk write, bad peer bytes,
-		// another kind's cell) falls through to recomputation and is
-		// overwritten below.
+		// A corrupt or foreign entry (torn disk write, another kind's
+		// cell) falls through to recomputation and is overwritten below.
 	}
-	local := func(ctx context.Context) ([]byte, error) {
-		res, err := s.executeCounted(ctx, spec)
-		if err != nil {
-			return nil, err
-		}
-		return encodeCell(res)
-	}
-	var data []byte
-	var err error
-	if coord := s.coordinator(); coord != nil {
-		data, err = coord.RunCell(ctx, hash, local)
-	} else {
-		data, err = local(ctx)
-	}
-	if err != nil {
-		return cellResult{}, err
-	}
-	res, derr := decodeCell(spec.Kind, data)
-	if derr != nil {
-		// A peer handed back bytes we cannot read: recompute locally.
-		if data, err = local(ctx); err != nil {
-			return cellResult{}, err
-		}
-		if res, derr = decodeCell(spec.Kind, data); derr != nil {
-			return cellResult{}, derr
-		}
-	}
-	s.store.Put(hash, data)
-	return res, nil
-}
-
-// executeCounted is the one funnel every local cell execution passes
-// through — worker-scheduled cells and fleet steals alike — so
-// CellsExecuted counts exactly the simulations this process ran.
-func (s *Service) executeCounted(ctx context.Context, spec JobSpec) (cellResult, error) {
 	res, err := executeCell(ctx, spec)
 	if err != nil {
 		return cellResult{}, err
@@ -751,91 +693,24 @@ func (s *Service) executeCounted(ctx context.Context, spec JobSpec) (cellResult,
 	s.mu.Lock()
 	s.cellsExecuted++
 	s.mu.Unlock()
+	data, err := encodeCell(res)
+	if err != nil {
+		return cellResult{}, err
+	}
+	if res, err = decodeCell(spec.Kind, data); err != nil {
+		return cellResult{}, err
+	}
+	s.store.Put(hash, data)
 	return res, nil
 }
 
-// SetCoordinator installs the fleet coordinator. Wire it before the
-// daemon takes traffic; cells already in flight keep executing locally.
-func (s *Service) SetCoordinator(c Coordinator) {
-	s.mu.Lock()
-	s.coord = c
-	s.mu.Unlock()
-}
-
-func (s *Service) coordinator() Coordinator {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.coord
-}
-
-// Draining reports whether Shutdown has begun: the daemon refuses new
-// jobs and /healthz turns not-ready so peers and load balancers stop
-// routing work here.
-func (s *Service) Draining() bool {
+// draining reports whether Shutdown has begun: the daemon refuses new
+// jobs and /healthz turns not-ready so load balancers stop routing work
+// here.
+func (s *Service) draining() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.closed
-}
-
-// StealableCells lists up to max cells still awaiting a local worker,
-// oldest first. Fleet peers poll this to steal work; the claim protocol
-// — not this listing — is what keeps a cell from running twice.
-func (s *Service) StealableCells(max int) []QueuedCell {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []QueuedCell
-	for _, c := range s.runq {
-		if len(c.parents) == 0 {
-			continue // orphaned; a worker will discard it
-		}
-		out = append(out, QueuedCell{Hash: c.hash, Spec: c.spec})
-		if len(out) == max {
-			break
-		}
-	}
-	return out
-}
-
-// LoadHint reports scheduler pressure for the fleet stealer: cells
-// awaiting a worker, busy workers, and the pool size.
-func (s *Service) LoadHint() (queued, busy, workers int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.runq), s.busy, s.cfg.Workers
-}
-
-// ExecuteSpec runs one queued cell outside the worker pool — this is
-// where a fleet steal lands — and returns the canonical encoded bytes
-// after writing them through the local store. The cell comes from a
-// peer's queue listing, so it runs only if its spec is a single cell
-// (plans into itself) whose hash is the listed one: a sweep spec would
-// crash or fail the executor, and a mismatched pair would file one
-// cell's result under another cell's hash.
-func (s *Service) ExecuteSpec(ctx context.Context, c QueuedCell) ([]byte, error) {
-	norm, err := c.Spec.normalize()
-	if err != nil {
-		return nil, err
-	}
-	hash := norm.hash()
-	if hash != c.Hash {
-		return nil, fmt.Errorf("queued cell %.12s: spec hashes to %.12s", c.Hash, hash)
-	}
-	if plan := planCells(norm); len(plan) != 1 || plan[0].hash() != hash {
-		return nil, fmt.Errorf("queued cell %.12s: spec plans into %d cells, not itself", c.Hash, len(plan))
-	}
-	if s.Draining() {
-		return nil, ErrClosed
-	}
-	res, err := s.executeCounted(ctx, norm)
-	if err != nil {
-		return nil, err
-	}
-	data, err := encodeCell(res)
-	if err != nil {
-		return nil, err
-	}
-	s.store.Put(hash, data)
-	return data, nil
 }
 
 // executeCell runs one cell's simulation under its cancellation context.

@@ -227,7 +227,8 @@ func TestCancelParentCancelsCells(t *testing.T) {
 
 // TestShardedSuiteByteIdentical requires the sharded suite — on one
 // worker and on eight — to render byte-identical artifacts to the suite
-// assembled straight from its cells.
+// assembled straight from its cells, executing each distinct cell
+// exactly once.
 func TestShardedSuiteByteIdentical(t *testing.T) {
 	seq := cellSuite(t, experiments.Budget{Warmup: tinyWarmup, Measure: tinyMeasure, Seed: 1})
 	want := map[string]string{
@@ -250,6 +251,9 @@ func TestShardedSuiteByteIdentical(t *testing.T) {
 			if res.Artifacts[name] != text {
 				t.Fatalf("artifact %q on %d workers diverges from the cell-built suite", name, workers)
 			}
+		}
+		if got, want := s.Metrics().CellsExecuted, len(experiments.SuiteCells()); got != want {
+			t.Fatalf("suite on %d workers executed %d cells, want %d", workers, got, want)
 		}
 		shutdown(t, s)
 	}

@@ -1,16 +1,14 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
 	"reflect"
-	"strings"
 	"testing"
 )
 
 // TestDefaultSuiteHashStable pins the default suite spec's content
 // address, so spec-surface changes (dropped fields, new figure names)
-// cannot silently move cache keys that disks and fleet peers hold.
+// cannot silently move the cache keys a -data-dir disk tier holds.
 func TestDefaultSuiteHashStable(t *testing.T) {
 	n, err := JobSpec{Kind: KindSuite}.normalize()
 	if err != nil {
@@ -31,46 +29,13 @@ var sweepSpecs = []JobSpec{
 	{Kind: KindFieldMC},
 }
 
-// TestExecuteSpecRejectsSweeps: a fleet peer's queue listing is
-// untrusted, so ExecuteSpec must refuse every sweep form with an error
-// (an l3 sweep used to panic inside the stealer's goroutine) and every
-// cell listed under a hash its spec does not produce, executing and
-// storing nothing.
-func TestExecuteSpecRejectsSweeps(t *testing.T) {
-	s := New(Config{Workers: 1})
-	defer s.Shutdown(context.Background())
-	for _, spec := range sweepSpecs {
-		norm, err := spec.normalize()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.ExecuteSpec(context.Background(), QueuedCell{Hash: norm.hash(), Spec: spec}); err == nil {
-			t.Errorf("%s sweep executed as a cell", spec.Kind)
-		}
-	}
-	cell := JobSpec{Kind: KindSimulate, Bench: "gzip", Scheme: "cppc", Warmup: 2_000, Measure: 5_000}
-	other, err := JobSpec{Kind: KindSimulate, Bench: "mcf", Scheme: "cppc", Warmup: 2_000, Measure: 5_000}.normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = s.ExecuteSpec(context.Background(), QueuedCell{Hash: other.hash(), Spec: cell})
-	if err == nil || !strings.Contains(err.Error(), "hashes to") {
-		t.Errorf("mismatched (hash, spec) pair: err = %v, want a hash mismatch", err)
-	}
-	if _, ok := s.store.Get(other.hash()); ok {
-		t.Error("mismatched cell stored under the listed hash")
-	}
-	if n := s.Metrics().CellsExecuted; n != 0 {
-		t.Errorf("%d cells executed, want 0", n)
-	}
-}
-
 // FuzzNormalize decodes arbitrary JSON into a JobSpec, as the HTTP API
-// and the fleet queue listing do, and checks the planner's invariants
-// on every spec normalize accepts: normalizing is idempotent, the hash
-// survives a JSON round trip, planCells never panics, and every planned
-// cell — again after a round trip, the form a peer receives — plans
-// into itself under its own hash, which ExecuteSpec's guard relies on.
+// does, and checks the planner's invariants on every spec normalize
+// accepts: normalizing is idempotent, the hash survives a JSON round
+// trip, planCells never panics, and every planned cell, again after a
+// round trip, plans into itself under its own hash. The last is what
+// lets a directly submitted cell share a sweep's cell: submitting the
+// cell's own spec plans the same hash the sweep stored.
 func FuzzNormalize(f *testing.F) {
 	for _, spec := range append([]JobSpec{
 		{Kind: KindSimulate, Bench: "gzip", Scheme: "cppc-silent", Budget: "quick"},

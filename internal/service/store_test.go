@@ -10,8 +10,8 @@ import (
 	"cppc/internal/service"
 )
 
-// TestHealthzReadiness pins the readiness contract fleet membership
-// checks rely on: 200 while serving, 503 once draining.
+// TestHealthzReadiness pins the readiness contract load balancers and
+// supervisors rely on: 200 while serving, 503 once draining.
 func TestHealthzReadiness(t *testing.T) {
 	svc := service.New(service.Config{Workers: 1})
 	ts := httptest.NewServer(service.NewServer(svc).Handler())
