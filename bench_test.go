@@ -334,6 +334,27 @@ func BenchmarkMulticoreCell(b *testing.B) {
 	}
 }
 
+// BenchmarkMulticoreCellWorkers runs one eight-core Sec. 7 cell (gzip,
+// 30% shared) with no spare worker and with one: the serial path, where
+// the executing goroutine draws every core's trace itself, against the
+// cluster's read-ahead, where a producer goroutine draws it ahead of
+// execution. Both read the same cell bit for bit.
+func BenchmarkMulticoreCellWorkers(b *testing.B) {
+	p := profile(b, "gzip")
+	bud := experiments.Budget{Warmup: 5_000, Measure: 15_000, Seed: 1}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			ctx := experiments.WithCellWorkers(context.Background(), workers)
+			for i := 0; i < b.N; i++ {
+				run, _, err := experiments.MulticoreCellPricings(ctx, p, 8, 0.3, bud)
+				if err != nil || run.CPI <= 0 {
+					b.Fatalf("multicore cell broke: cpi=%v (err=%v)", run.CPI, err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkFieldMC runs one field-mix grid cell (populate, exercise and
 // probe per trial) on one trial worker and on eight: the fault plane's
 // cost on the read path, and the trial fan-out's win on hosts that have

@@ -202,7 +202,7 @@ type Core struct {
 	// Batched instruction consumption (see RunCtx): the buffer lives on the
 	// core so instructions drawn but not executed (a run that halts
 	// mid-batch) are consumed by the next run instead of being lost, keeping
-	// the source's draw sequence identical to unbatched operation.
+	// the stream the core executes identical to unbatched operation.
 	srcBuf         []trace.Instr
 	srcBufSrc      trace.Source
 	srcPos, srcLen int
@@ -230,11 +230,14 @@ func doneRingLen(cfg Config) int {
 
 // coreArena is one core's pooled scratch: a single uint64 backing array
 // carved into the rings and functional-unit free lists, plus the trace
-// refill buffer. Arenas are recycled per Config (coreArenas) so a sweep
-// of same-shaped cells pays the ~40KB of ring allocations once.
+// refill buffer and, once a read-ahead cluster has run the core, its
+// read-ahead ring. Arenas are recycled per Config (coreArenas) so a
+// sweep of same-shaped cells pays the ~40KB of ring allocations, and the
+// 32KB read-ahead ring, once.
 type coreArena struct {
 	words  []uint64
 	srcBuf []trace.Instr
+	ahead  []trace.Instr
 }
 
 var coreArenas sync.Map // Config -> *sync.Pool of *coreArena
@@ -295,6 +298,15 @@ func NewCoreWithPort(cfg Config, mem MemoryPort) *Core {
 	return c
 }
 
+// aheadBuf returns the storage of the core's read-ahead ring, allocated
+// the first time the arena serves one.
+func (c *Core) aheadBuf() []trace.Instr {
+	if c.arena.ahead == nil {
+		c.arena.ahead = make([]trace.Instr, aheadBlocks*aheadBlock)
+	}
+	return c.arena.ahead
+}
+
 // Release returns the core's scratch arena to the per-Config pool for
 // reuse by a future NewCoreWithPort. The core must not run afterwards.
 func (c *Core) Release() {
@@ -338,9 +350,12 @@ func (c *Core) RunCtx(ctx context.Context, src trace.Source, n int) (Result, err
 	var err error
 	// Batch-capable sources are consumed through the core's refill buffer,
 	// replacing one interface call per instruction with one per 256. Refills
-	// never draw past the n requested here, and leftovers (a halt mid-batch)
-	// carry over to the next run on this core, so the source sees exactly
-	// the demand-driven draw sequence.
+	// never ask for more than the n requested here, and leftovers (a halt
+	// mid-batch) carry over to the next run on this core, so the core
+	// executes its stream in order whatever the runs' lengths. A source
+	// may still be drawn ahead of the core: a read-ahead cluster owns its
+	// cores' sources and hands each core a ring its producers fill (see
+	// Cluster.SetWorkers).
 	bs, _ := src.(trace.BatchSource)
 	if src != c.srcBufSrc {
 		c.srcBufSrc = src
@@ -400,35 +415,6 @@ func (c *Core) RunCtx(ctx context.Context, src trace.Source, n int) (Result, err
 		res.CPI = float64(res.Cycles) / float64(res.Instructions)
 	}
 	return res, err
-}
-
-// prefill draws into the refill buffer exactly the instructions the next
-// RunCtx(src, n) call on this core would draw, so the generator work can
-// run on another goroutine before a lock-step quantum while execution
-// stays serialized. It replicates RunCtx's demand: a changed source
-// resets the buffer, leftovers are compacted to the front and kept, and
-// only the missing tail is drawn. Cases the buffer cannot cover (a
-// non-batch source, or n beyond the buffer) are left for RunCtx to draw
-// inline as before. Either way the source observes the same demand-driven
-// draw sequence, so results are bit-identical.
-func (c *Core) prefill(src trace.Source, n int) {
-	bs, ok := src.(trace.BatchSource)
-	if !ok || n > len(c.srcBuf) {
-		return
-	}
-	if src != c.srcBufSrc {
-		c.srcBufSrc = src
-		c.srcPos, c.srcLen = 0, 0
-	}
-	left := c.srcLen - c.srcPos
-	if left >= n {
-		return
-	}
-	if left > 0 && c.srcPos > 0 {
-		copy(c.srcBuf, c.srcBuf[c.srcPos:c.srcLen])
-	}
-	c.srcPos, c.srcLen = 0, left
-	c.srcLen += bs.NextBatch(c.srcBuf[left:n])
 }
 
 // SetICache attaches an instruction cache to the front end. codeBytes is

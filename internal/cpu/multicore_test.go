@@ -2,8 +2,13 @@ package cpu
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"cppc/internal/core"
 	"cppc/internal/trace"
@@ -42,7 +47,7 @@ func runCluster(t *testing.T, cl *Cluster, n, quantum int) MulticoreResult {
 }
 
 // TestClusterParallelBitIdentical is the race-job determinism gate: a
-// Cluster run whose trace is prefilled across workers must be
+// Cluster run whose producers read every core's trace ahead must be
 // bit-identical to the workerless run — same MulticoreResult, same final
 // hierarchy state — for N ∈ {1, 2, 4} cores and several worker counts.
 // CI runs this under -race with GOMAXPROCS 1 (cooperative scheduling)
@@ -81,67 +86,214 @@ func TestClusterParallelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestClusterPrefillExactDemand pins the prefill contract on its edge
-// cases: leftovers in the refill buffer (a halted run), a changed
-// source, and a demand beyond the buffer must all leave the core's draw
-// sequence identical to the unprefilled path.
-func TestClusterPrefillExactDemand(t *testing.T) {
-	prof := gzipProfile()
+// readAheadCases are the worker counts the read-ahead contract tests
+// hold against a serial cluster: one producer serving every core, and
+// three producers sharing them.
+var readAheadCases = []int{2, 4}
 
-	// Reference: draw 600 instructions straight off a fresh generator.
-	ref := make([]trace.Instr, 600)
-	g := prof.NewGen(3)
-	for i := range ref {
-		ref[i] = g.Next()
+// drawnAhead counts the instructions a ring holds that its core has not
+// read yet.
+func drawnAhead(r *ring) int {
+	if !r.held {
+		return r.filled * aheadBlock
 	}
+	return r.end - r.pos + (r.filled-1)*aheadBlock
+}
 
-	sys := NewSystem(Parity1DFactory(), Parity1DFactory())
-	defer sys.Release()
-	c := NewCoreWithPort(Table1Config(), sys.Port())
-	defer c.Release()
-	src := prof.NewGen(3)
-
-	check := func(stage string, want []trace.Instr) {
-		got := c.srcBuf[c.srcPos:c.srcLen]
-		if len(got) != len(want) {
-			t.Fatalf("%s: buffered %d instrs, want %d", stage, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("%s: buffered instr %d = %+v, want %+v", stage, i, got[i], want[i])
+// TestClusterReadAheadCarriesOver runs a warm-up and a measurement as two
+// RunCtx calls of lengths that end mid-block, then a third run with the
+// read-ahead switched off, and holds every run to a serial cluster doing
+// the same. Blocks drawn ahead in one run must be read, in order, by the
+// next, and the serial run after them must drain the rings before
+// drawing from the source again. The measurement's quantum is longer
+// than a ring, so a core empties its ring while the others' are full:
+// the producer must wake for it rather than wait for half its lane to
+// free up.
+func TestClusterReadAheadCarriesOver(t *testing.T) {
+	const cores = 4
+	runs := []struct{ n, quantum int }{{1_337, 0}, {4_321, 3_000}, {999, 0}}
+	serial, serialSys := buildPrivateCluster(t, cores)
+	var want []MulticoreResult
+	for _, r := range runs {
+		want = append(want, runCluster(t, serial, r.n, r.quantum))
+	}
+	for _, workers := range readAheadCases {
+		cl, sys := buildPrivateCluster(t, cores)
+		for k, r := range runs {
+			if k == len(runs)-1 {
+				cl.SetWorkers(1)
+			} else {
+				cl.SetWorkers(workers)
+			}
+			got := runCluster(t, cl, r.n, r.quantum)
+			if !reflect.DeepEqual(want[k], got) {
+				t.Errorf("workers=%d run %d: diverged from serial\nserial:     %+v\nread-ahead: %+v", workers, k, want[k], got)
+			}
+			if k == 0 {
+				for i := range cl.rings {
+					if drawnAhead(&cl.rings[i]) == 0 {
+						t.Errorf("workers=%d: core %d had nothing drawn ahead after the warm-up", workers, i)
+					}
+				}
 			}
 		}
+		for i := range sys {
+			if !reflect.DeepEqual(serialSys[i].L1().Stats, sys[i].L1().Stats) {
+				t.Errorf("workers=%d: core %d L1 stats diverged", workers, i)
+			}
+			sys[i].Release()
+		}
+		cl.Release()
 	}
+	for _, s := range serialSys {
+		s.Release()
+	}
+	serial.Release()
+}
 
-	// Fresh source: prefill(256) draws exactly the first quantum.
-	c.prefill(src, 256)
-	check("fresh", ref[:256])
+// buildHaltingCluster assembles cores over parity-1d stacks whose L1s
+// carry an armed stuck-at plane: parity detects a stuck bit in a dirty
+// granule but cannot correct it, so the run halts on a DUE.
+func buildHaltingCluster(t *testing.T, cores int) (*Cluster, []*System) {
+	t.Helper()
+	prof := gzipProfile()
+	ports := make([]MemoryPort, cores)
+	srcs := make([]trace.Source, cores)
+	systems := make([]*System, cores)
+	for i := range systems {
+		sys := NewSystem(Parity1DFactory(), Parity1DFactory())
+		c := sys.L1().C
+		c.ArmPlane(99 + int64(i))
+		for s := 0; s < c.Sets(); s += 3 {
+			bit := uint64(1) << (s % 64)
+			c.AddStuckFault(s, s%c.Ways(), s%c.BlockWords(), bit, bit)
+		}
+		systems[i] = sys
+		ports[i] = sys.Port()
+		srcs[i] = prof.NewGen(21 + int64(i))
+	}
+	cl, err := NewCluster(Table1Config(), ports, srcs)
+	if err != nil {
+		t.Fatalf("NewCluster: %v", err)
+	}
+	return cl, systems
+}
 
-	// Re-prefill with the buffer already full: no further draws.
-	c.prefill(src, 256)
-	check("idempotent", ref[:256])
+// TestClusterReadAheadHalt holds a run that halts on a DUE mid-quantum,
+// and the run after it, which starts on the halted core's leftover
+// instructions, to the serial cluster: the same Instructions, Cycles and
+// Halted, core by core.
+func TestClusterReadAheadHalt(t *testing.T) {
+	const cores, n = 3, 60_000
+	serial, serialSys := buildHaltingCluster(t, cores)
+	want := []MulticoreResult{runCluster(t, serial, n, 0), runCluster(t, serial, n, 0)}
+	if !want[0].Halted || want[0].Instructions >= cores*n {
+		t.Fatalf("serial run did not halt early: %+v", want[0])
+	}
+	midQuantum := false
+	for _, pc := range want[0].PerCore {
+		midQuantum = midQuantum || pc.Halted && pc.Instructions%DefaultQuantum != 0
+	}
+	if !midQuantum {
+		t.Fatalf("serial run halted on a quantum boundary: %+v", want[0])
+	}
+	for _, workers := range readAheadCases {
+		cl, sys := buildHaltingCluster(t, cores)
+		cl.SetWorkers(workers)
+		for k := range want {
+			got := runCluster(t, cl, n, 0)
+			if !reflect.DeepEqual(want[k], got) {
+				t.Errorf("workers=%d run %d: diverged from serial\nserial:     %+v\nread-ahead: %+v", workers, k, want[k], got)
+			}
+		}
+		for _, s := range sys {
+			s.Release()
+		}
+		cl.Release()
+	}
+	for _, s := range serialSys {
+		s.Release()
+	}
+	serial.Release()
+}
 
-	// Consume 200 by hand (simulating a partial run), then prefill a full
-	// quantum: leftovers compact, only the missing tail is drawn.
-	c.srcPos += 200
-	c.prefill(src, 256)
-	check("leftovers", ref[200:456])
+// cancelSource cancels a run's context once it has handed out n
+// instructions; a producer goroutine draws it. The draw that cancels is
+// slow, so it is still in flight when the cores see the cancellation.
+type cancelSource struct {
+	trace.BatchSource
+	n        int
+	cancel   context.CancelFunc
+	finished atomic.Bool // the cancelling draw returned
+}
 
-	// Demand beyond the buffer: prefill declines, buffer untouched.
-	c.prefill(src, 1024)
-	check("oversized", ref[200:456])
+func (s *cancelSource) NextBatch(dst []trace.Instr) int {
+	if s.n -= len(dst); s.n <= 0 && !s.finished.Load() {
+		s.cancel()
+		time.Sleep(20 * time.Millisecond)
+		defer s.finished.Store(true)
+	}
+	return s.BatchSource.NextBatch(dst)
+}
 
-	// A changed source resets the buffer and draws from the new stream.
-	src2 := prof.NewGen(3)
-	c.prefill(src2, 100)
-	check("new source", ref[:100])
+// goroutinesBack waits briefly for the goroutine count to return to
+// base: a joined goroutine may still be unwinding when Wait returns.
+func goroutinesBack(t *testing.T, base int, when string) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Errorf("%s: %d goroutines, want the baseline %d", when, runtime.NumGoroutine(), base)
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestClusterReadAheadCancel cancels a run that asked for far more
+// instructions than it could finish: RunCtx must return the context's
+// error promptly, and every producer must be gone when RunCtx returns
+// and still when Release does.
+func TestClusterReadAheadCancel(t *testing.T) {
+	const cores = 4
+	for _, workers := range readAheadCases {
+		base := runtime.NumGoroutine()
+		cl, sys := buildPrivateCluster(t, cores)
+		ctx, cancel := context.WithCancel(context.Background())
+		src := &cancelSource{BatchSource: cl.srcs[2].(trace.BatchSource), n: 20_000, cancel: cancel}
+		cl.srcs[2] = src
+		cl.SetWorkers(workers)
+		start := time.Now()
+		res, err := cl.RunCtx(ctx, 1<<40, 0)
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("workers=%d: RunCtx returned %v, want context.Canceled", workers, err)
+		}
+		if !src.finished.Load() {
+			t.Errorf("workers=%d: RunCtx returned while a producer was still drawing", workers)
+		}
+		if d := time.Since(start); d > 10*time.Second {
+			t.Errorf("workers=%d: cancelled run took %v to return", workers, d)
+		}
+		// No core runs past the block whose draw cancelled the run, nor
+		// more than a quantum ahead of core 2 in the round.
+		if limit := cores * (20_000 + aheadBlock + DefaultQuantum); res.Instructions == 0 || res.Instructions > uint64(limit) {
+			t.Errorf("workers=%d: cancelled run executed %d instructions, want 1 to %d", workers, res.Instructions, limit)
+		}
+		goroutinesBack(t, base, fmt.Sprintf("workers=%d after RunCtx", workers))
+		cl.Release()
+		for _, s := range sys {
+			s.Release()
+		}
+		goroutinesBack(t, base, fmt.Sprintf("workers=%d after Release", workers))
+		cancel()
+	}
 }
 
 // TestClusterFaultPlaneParallel is the fault-plane concurrency gate: CI
 // runs it under -race. Each core's own L1 carries an armed fault plane
 // with stuck-at and intermittent cells that re-assert on every array
-// consult while the Cluster prefills every core's trace concurrently
-// and then executes the cores in order. The run must be bit-identical
+// consult while the Cluster's producers read every core's trace ahead
+// and the cores execute in order. The run must be bit-identical
 // to the workerless run (plane coin draws are per-cache, so per-core
 // streams stay deterministic) and the faults must actually fire
 // (detections observed on every core).

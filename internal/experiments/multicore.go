@@ -92,8 +92,9 @@ func MulticoreCellPricings(ctx context.Context, prof trace.Profile, cores int, s
 		return plain, silent, err
 	}
 	defer cl.Release()
-	// Idle-pool-worker hint: per-core trace generation fans out, coherence
-	// stays serialized in core order; results are bit-identical either way.
+	// Idle-pool-worker hint: spare workers read the cores' trace ahead,
+	// while coherence stays serialized in core order; results are
+	// bit-identical either way.
 	cl.SetWorkers(CellWorkers(ctx))
 	warm, err := cl.RunCtx(ctx, b.Warmup, 0)
 	if err != nil {

@@ -16,7 +16,8 @@ import (
 // The key itself lives in internal/par so the fault campaigns (which
 // this package drives, and which cannot import it back) read the same
 // hint: one worker budget flows from the scheduler or a -parallel flag
-// down to both the timed cluster and the trial executor.
+// down to both the timed cluster, whose spare workers read each core's
+// trace ahead of execution, and the trial executor.
 
 // WithCellWorkers returns a context carrying an intra-cell parallelism
 // hint of n goroutines. n < 2 carries nothing (serial).

@@ -23,9 +23,9 @@ package fault
 //
 // The worker budget rides on the context (internal/par): the daemon's
 // scheduler sizes it from idle pool workers — the same transient facts
-// that size Cluster.SetWorkers — and the standalone drivers size it
-// from their -parallel flags. It is a wall-clock knob only, never part
-// of a cell's identity or cache key.
+// that size the timed cluster's trace read-ahead (Cluster.SetWorkers) —
+// and the standalone drivers size it from their -parallel flags. It is
+// a wall-clock knob only, never part of a cell's identity or cache key.
 
 import (
 	"context"

@@ -529,9 +529,10 @@ func (s *Service) worker() {
 		s.waitNanos += start.Sub(c.enqueued).Nanoseconds()
 		// Intra-cell parallelism hint: workers with neither a running cell
 		// nor queued work to pick up would otherwise idle, so this cell may
-		// fan its internal independent phases (per-core trace generation,
-		// the l3 placement runs) across them. Purely a wall-clock knob —
-		// cell results and cache keys are identical whatever it says.
+		// spread its internal independent work (a multicore cell's trace
+		// read-ahead, the l3 placement runs) across them. Purely a
+		// wall-clock knob — cell results and cache keys are identical
+		// whatever it says.
 		spare := s.cfg.Workers - s.busy - len(s.runq)
 		s.mu.Unlock()
 		if spare > 0 {

@@ -2,16 +2,17 @@ package trace
 
 import "sync"
 
-// Stream memoization. Generation is deterministic for a given
-// (profile, seed), and the experiments re-draw the same stream many
-// times over: Fig. 10 runs three protection schemes per benchmark, the
-// L3 study three placements, the Sec. 7 sweep reads every per-core base
-// stream at each cell size and sharing fraction, and benchmark
-// iterations repeat whole cells. A memoized stream materializes the
-// instruction prefix once, process-wide, and every subsequent reader
-// copies it instead of re-running the generator — bit-identical by
-// construction, since the memo holds exactly the stream the generator
-// would produce.
+// Stream memoization for single-core readers. Generation is
+// deterministic for a given (profile, seed), and the single-core
+// experiments re-draw the same stream many times over: Fig. 10 runs
+// three protection schemes per benchmark, the L3 study three placements,
+// and benchmark iterations repeat whole cells. A memoized stream
+// materializes the instruction prefix once, process-wide, and every
+// subsequent reader copies it instead of re-running the generator —
+// bit-identical by construction, since the memo holds exactly the stream
+// the generator would produce. The Sec. 7 per-core streams (CoreGen) are
+// not memoized: a multicore cell reads them ahead on spare workers
+// instead.
 const (
 	// memoMaxStreams bounds how many distinct streams stay resident;
 	// past it, eviction recycles an arbitrary slot so a seed sweep

@@ -5,8 +5,6 @@ import (
 	"sync"
 	"testing"
 	"unsafe"
-
-	"cppc/internal/lfrng"
 )
 
 // TestMemoGenMatchesGen checks that a memoized reader produces exactly
@@ -129,8 +127,8 @@ func TestMemoGenConcurrentReaders(t *testing.T) {
 
 // TestMemoPrefixAllocatedOnce checks that a stream's prefix is allocated
 // once at its own size, not regrown and copied as it extends, and that
-// per-core streams share the base memo at every sharing fraction: the
-// coin is applied on read, so no relocated copy is memoized.
+// per-core streams stay out of the memo at every sharing fraction: the
+// memo serves single-core readers only.
 func TestMemoPrefixAllocatedOnce(t *testing.T) {
 	p, ok := ProfileByName("vpr")
 	if !ok {
@@ -155,51 +153,14 @@ func TestMemoPrefixAllocatedOnce(t *testing.T) {
 	clear(memoStreams) // attached readers keep their streams
 	memoMu.Unlock()
 	for _, frac := range []float64{0, 0.3, 0.6} {
-		p.NewCoreGens(cores, frac, seed+1)
+		for _, g := range p.NewCoreGens(cores, frac, seed+1) {
+			g.NextBatch(buf)
+		}
 	}
 	memoMu.Lock()
 	added := len(memoStreams)
 	memoMu.Unlock()
-	if added != cores {
-		t.Errorf("three sharing fractions of %d cores added %d memo streams, want %d", cores, added, cores)
-	}
-}
-
-// TestCoreGenMemoMatchesStream pins the CoreGen rewiring: the memoized
-// base stream with the coin applied on read must equal the reference
-// construction (a plain Gen drawn per instruction with the
-// coin interleaved), for sharing fractions on both sides of the coin.
-func TestCoreGenMemoMatchesStream(t *testing.T) {
-	p, ok := ProfileByName("gcc")
-	if !ok {
-		t.Fatal("gcc profile missing")
-	}
-	for _, frac := range []float64{0, 0.3, 1} {
-		gens := p.NewCoreGens(3, frac, 5)
-		stride := coreStride(p.WorkingSetBytes + p.StoreBytes)
-		for i, g := range gens {
-			s := int64(5) + int64(i)*0x9e3779b9
-			base := p.NewGen(s)
-			var coin lfrng.Rand
-			coin.Seed(s ^ 0x5deece66d)
-
-			const n = 700
-			got := make([]Instr, n)
-			for j := range got[:16] {
-				got[j] = g.Next() // Next must flip the coin too
-			}
-			g.NextBatch(got[16:])
-			for j := 0; j < n; j++ {
-				want := base.Next()
-				if want.Op == OpLoad || want.Op == OpStore {
-					if coin.Float64() >= frac {
-						want.Addr += uint64(i+1) * stride
-					}
-				}
-				if got[j] != want {
-					t.Fatalf("frac %v core %d instr %d = %+v, want %+v", frac, i, j, got[j], want)
-				}
-			}
-		}
+	if added != 0 {
+		t.Errorf("three sharing fractions of %d cores added %d memo streams, want none", cores, added)
 	}
 }

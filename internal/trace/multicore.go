@@ -18,13 +18,14 @@ func coreStride(span int) uint64 {
 	return (uint64(span) + mb - 1) &^ uint64(mb-1)
 }
 
-// CoreGen is one core's stream: the memoized base (profile, per-core
-// seed) stream with the sharing coin applied on read. Only the base
-// stream is memoized, so every cell that runs a core, at any cell size
-// or sharing fraction, copies the same resident prefix. It implements
-// Source and BatchSource.
+// CoreGen is one core's stream: a plain generator of the (profile,
+// per-core seed) base stream with the sharing coin applied on read. It
+// creates no memo stream: a Sec. 7 cell reads each core's stream ahead
+// on spare workers (cpu.Cluster.SetWorkers), where a resident prefix
+// would save no time and cost 4 MiB per core. It implements Source and
+// BatchSource.
 type CoreGen struct {
-	MemoGen
+	Gen
 	coin       lfrng.Rand
 	sharedFrac float64
 	offset     uint64 // base of this core's private region
@@ -41,7 +42,7 @@ func (p Profile) NewCoreGens(cores int, sharedFrac float64, seed int64) []*CoreG
 	for i := range backing {
 		g := &backing[i]
 		s := seed + int64(i)*0x9e3779b9 // distinct per-core seeds
-		g.MemoGen = MemoGen{s: getStream(memoKey{p, s})}
+		p.initGen(&g.Gen, s)
 		g.coin.Seed(s ^ 0x5deece66d)
 		g.sharedFrac = sharedFrac
 		g.offset = uint64(i+1) * stride
@@ -50,13 +51,13 @@ func (p Profile) NewCoreGens(cores int, sharedFrac float64, seed int64) []*CoreG
 	return gens
 }
 
-// NextBatch implements BatchSource. It copies the base stream, then
+// NextBatch implements BatchSource. It draws the base stream, then
 // applies the coin in stream order — the two RNGs never interleave
 // state, so the result matches a per-instruction interleaving exactly.
 // One flip per memory access keeps the base generator's draw sequence
 // untouched, so the shared and private sub-streams stay profile-shaped.
 func (g *CoreGen) NextBatch(dst []Instr) int {
-	g.MemoGen.NextBatch(dst)
+	g.Gen.NextBatch(dst)
 	for i := range dst {
 		in := &dst[i]
 		if in.Op == OpLoad || in.Op == OpStore {
@@ -68,7 +69,7 @@ func (g *CoreGen) NextBatch(dst []Instr) int {
 	return len(dst)
 }
 
-// Next implements Source (MemoGen's would skip the coin).
+// Next implements Source (Gen's would skip the coin).
 func (g *CoreGen) Next() Instr {
 	var buf [1]Instr
 	g.NextBatch(buf[:])
