@@ -96,7 +96,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "unknown benchmark %q (use -list)\n", *bench)
 			os.Exit(1)
 		}
-		src = prof.NewMemoGen(*seed)
+		src = prof.NewGen(*seed)
 	}
 	run, err := experiments.SimulateSourceCtx(context.Background(), workload, src, id, budget)
 	if err != nil {

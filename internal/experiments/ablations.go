@@ -25,7 +25,7 @@ func SinglePortAblation(ctx context.Context, b Budget) (string, error) {
 		defer sys.Release()
 		cfg := cpu.Table1Config()
 		cfg.SinglePorted = single
-		return warmCPI(ctx, cpu.NewCoreWithPort(cfg, sys.Port()), p.NewMemoGen(b.Seed), b)
+		return warmCPI(ctx, cpu.NewCoreWithPort(cfg, sys.Port()), p.NewGen(b.Seed), b)
 	}
 	for _, name := range []string{"crafty", "vortex", "swim"} {
 		p, ok := trace.ProfileByName(name)
@@ -80,7 +80,7 @@ func EarlyWritebackAblation(ctx context.Context, accesses int, seed int64) (stri
 		ct.SetSampleInterval(64)
 		ct.SetEarlyWriteback(interval, 8)
 
-		gen := p.NewMemoGen(seed)
+		gen := p.NewGen(seed)
 		var now uint64
 		for i := 0; i < accesses; {
 			in := gen.Next()
@@ -192,7 +192,7 @@ func ICacheAblation(ctx context.Context, b Budget) (string, error) {
 			if withIC {
 				c.SetICache(sys.L1I, 64<<10)
 			}
-			cpi, err := warmCPI(ctx, c, p.NewMemoGen(b.Seed), b)
+			cpi, err := warmCPI(ctx, c, p.NewGen(b.Seed), b)
 			return cpi, sys.L1I.Stats.MissRate(), err
 		}
 		base, _, err := run(false)

@@ -115,7 +115,7 @@ func (r Run) Energy() (l1, l2 energy.Report) {
 // instruction loop, so even a multi-million-instruction cell aborts
 // promptly.
 func SimulateCtx(ctx context.Context, prof trace.Profile, id SchemeID, b Budget) (Run, error) {
-	return SimulateSourceCtx(ctx, prof.Name, prof.NewMemoGen(b.Seed), id, b)
+	return SimulateSourceCtx(ctx, prof.Name, prof.NewGen(b.Seed), id, b)
 }
 
 // SimulateSourceCtx is SimulateCtx over any instruction source, e.g. a

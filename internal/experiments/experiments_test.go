@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -43,6 +44,33 @@ func tinySuite(t *testing.T) *Suite {
 		}
 	}
 	return s
+}
+
+// TestSimulateLeavesNoHeap: a finished cell leaves nothing resident. Its
+// buffers go back to sync.Pools, which two collections empty, so the
+// live heap returns to where it started. A process-wide cache of trace
+// streams would hold each stream's prefix past the cell.
+func TestSimulateLeavesNoHeap(t *testing.T) {
+	p, ok := trace.ProfileByName("gzip")
+	if !ok {
+		t.Fatal("gzip profile missing")
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	b := QuickBudget()
+	b.Seed = 2011 // a stream no other test reads
+	before := heap()
+	simulate(t, p, CPPC, b)
+	after := heap()
+	if after > before+1<<20 {
+		t.Fatalf("live heap grew %.1f MiB over one QuickBudget cell, want at most 1 MiB",
+			float64(after-before)/(1<<20))
+	}
 }
 
 func TestSchemeIDStrings(t *testing.T) {

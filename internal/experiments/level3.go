@@ -65,7 +65,7 @@ func L3Cell(ctx context.Context, p trace.Profile, b Budget) (L3Run, error) {
 			cpu.Level{Cfg: cache.L3Config(), Scheme: l3f},
 		)
 		defer sys.Release()
-		res, err := cpu.RunSourceWarmCtx(ctx, p.NewMemoGen(b.Seed), b.Warmup, b.Measure, sys)
+		res, err := cpu.RunSourceWarmCtx(ctx, p.NewGen(b.Seed), b.Warmup, b.Measure, sys)
 		if err != nil {
 			return out{}, err
 		}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"runtime/metrics"
 	"time"
 
 	"cppc/internal/cellstore"
@@ -67,6 +68,25 @@ type Metrics struct {
 	// StoreTiers breaks the cell store down per tier (memory, disk);
 	// the legacy cell_cache_* fields above mirror the memory tier.
 	StoreTiers []cellstore.Stats `json:"store_tiers,omitempty"`
+
+	// The process's heap policy and what it costs: the GC percent in
+	// force (NewServer's, or GOGC's; -1 when GOGC=off), the collections
+	// since the process started, and the heap size at which the next one
+	// is due.
+	GCPercent     int64  `json:"gc_percent"`
+	GCCycles      uint64 `json:"gc_cycles"`
+	HeapGoalBytes uint64 `json:"heap_goal_bytes"`
+}
+
+// readGC fills the GC fields from runtime/metrics.
+func (m *Metrics) readGC() {
+	s := []metrics.Sample{{Name: "/gc/gogc:percent"}, {Name: "/gc/cycles/total:gc-cycles"}, {Name: "/gc/heap/goal:bytes"}}
+	metrics.Read(s)
+	// The runtime keeps the percent as a signed value: GOGC=off's -1
+	// comes back as the all-ones uint64.
+	m.GCPercent = int64(s[0].Value.Uint64())
+	m.GCCycles = s[1].Value.Uint64()
+	m.HeapGoalBytes = s[2].Value.Uint64()
 }
 
 // Metrics snapshots the counters.
@@ -141,5 +161,6 @@ func (s *Service) Metrics() Metrics {
 		m.RunMeanMs = float64(s.runNanos) / n / 1e6
 		m.RunMaxMs = float64(s.runNanosMax) / 1e6
 	}
+	m.readGC()
 	return m
 }

@@ -7,6 +7,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -192,5 +195,68 @@ func TestHitHandlerAllocs(t *testing.T) {
 	check("later hits", post, get)
 	if allocs > 60 {
 		t.Fatalf("a job-table hit through the handlers costs %v allocs, want <= 60", allocs)
+	}
+}
+
+// TestNewServerGCPercent: with GOGC unset, NewServer sets the process's
+// GC percent to gcPercent; with GOGC set, the percent the runtime took
+// from it stays. Each case restores the percent it found.
+func TestNewServerGCPercent(t *testing.T) {
+	svc := New(Config{Workers: 1})
+	defer svc.Shutdown(context.Background())
+	for _, tc := range []struct {
+		name, gogc  string // gogc "" leaves GOGC unset
+		start, want int
+	}{
+		{name: "unset", start: 100, want: gcPercent},
+		{name: "GOGC=150", gogc: "150", start: 150, want: 150},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prev := debug.SetGCPercent(tc.start)
+			t.Cleanup(func() { debug.SetGCPercent(prev) })
+			t.Setenv("GOGC", tc.gogc)
+			if tc.gogc == "" {
+				os.Unsetenv("GOGC")
+			}
+			NewServer(svc)
+			if got := debug.SetGCPercent(tc.want); got != tc.want {
+				t.Fatalf("GC percent after NewServer = %d, want %d", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestMetricsGC: /metrics reports the GC percent in force (-1 for off),
+// the collections since start (a forced one counts) and a nonzero heap
+// goal.
+func TestMetricsGC(t *testing.T) {
+	svc := New(Config{Workers: 1})
+	defer svc.Shutdown(context.Background())
+	h := NewServer(svc).Handler()
+	get := func() Metrics {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		var m Metrics
+		if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	prev := debug.SetGCPercent(100)
+	defer debug.SetGCPercent(prev)
+	for _, pct := range []int{123, -1} {
+		debug.SetGCPercent(pct)
+		first := get()
+		runtime.GC()
+		m := get()
+		if m.GCPercent != int64(pct) {
+			t.Errorf("gc_percent = %d, want %d", m.GCPercent, pct)
+		}
+		if m.GCCycles <= first.GCCycles {
+			t.Errorf("gc_percent %d: gc_cycles %d -> %d across a forced collection, want an increase", pct, first.GCCycles, m.GCCycles)
+		}
+		if m.HeapGoalBytes == 0 {
+			t.Errorf("gc_percent %d: heap_goal_bytes = 0", pct)
+		}
 	}
 }

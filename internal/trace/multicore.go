@@ -19,11 +19,9 @@ func coreStride(span int) uint64 {
 }
 
 // CoreGen is one core's stream: a plain generator of the (profile,
-// per-core seed) base stream with the sharing coin applied on read. It
-// creates no memo stream: a Sec. 7 cell reads each core's stream ahead
-// on spare workers (cpu.Cluster.SetWorkers), where a resident prefix
-// would save no time and cost 4 MiB per core. It implements Source and
-// BatchSource.
+// per-core seed) base stream with the sharing coin applied on read. A
+// Sec. 7 cell with spare workers draws it ahead of the core
+// (cpu.Cluster.SetWorkers). It implements Source and BatchSource.
 type CoreGen struct {
 	Gen
 	coin       lfrng.Rand

@@ -47,9 +47,10 @@ func (o Op) String() string {
 // Instr is one dynamic instruction. Dep1/Dep2 are producer distances (how
 // many instructions back, at most MaxDepDistance), 0 meaning no register
 // dependency. The struct is kept at 16 bytes, address included, because
-// the trace memo keeps up to memoMaxInstrs of them resident per stream
-// (4 MiB; int32 distances would pad it to 24 bytes and 6 MiB), and it is
-// copied twice per simulated instruction through the batching buffers.
+// it is copied twice per simulated instruction through the batching
+// buffers: each core's 256-entry refill buffer holds 4 KiB of them and a
+// read-ahead core's ring 32 KiB (cpu.Cluster.SetWorkers). int32 distances
+// would pad it to 24 bytes and grow both buffers by half.
 type Instr struct {
 	Addr       uint64 // word-aligned effective address (loads/stores)
 	Dep1, Dep2 int16
@@ -120,6 +121,11 @@ func (p Profile) NewGen(seed int64) *Gen {
 	p.initGen(g, seed)
 	return g
 }
+
+// NewMemoGen is NewGen under the name cmd/cppcbench still calls.
+//
+// Deprecated: use NewGen.
+func (p Profile) NewMemoGen(seed int64) *Gen { return p.NewGen(seed) }
 
 // initGen (re)initializes g in place — the allocation-free form of NewGen
 // used where the Gen is embedded in a larger structure.

@@ -5,13 +5,15 @@ import (
 	"unsafe"
 )
 
-// TestInstrSize pins Instr at 16 bytes, address included. The trace memo
-// keeps up to memoMaxInstrs of them resident per stream, so every byte
-// here is 256 KiB per resident prefix.
+// TestInstrSize pins Instr at 16 bytes, address included. Every simulated
+// instruction is copied through a core's 256-entry refill buffer, and a
+// read-ahead core's through its 2048-entry ring as well, so every byte
+// here grows the refill buffer by 256 bytes and the ring by 2 KiB.
 func TestInstrSize(t *testing.T) {
-	if got := unsafe.Sizeof(Instr{}); got != 16 {
-		t.Fatalf("Instr is %d bytes, want 16: each resident memo prefix would hold %d KiB instead of %d KiB",
-			got, memoMaxInstrs*int(got)>>10, memoMaxInstrs*16>>10)
+	const refill, ring = 256, 2048
+	if got := int(unsafe.Sizeof(Instr{})); got != 16 {
+		t.Fatalf("Instr is %d bytes, want 16: the refill buffer would hold %d KiB instead of 4 KiB and the read-ahead ring %d KiB instead of 32 KiB",
+			got, refill*got>>10, ring*got>>10)
 	}
 }
 
